@@ -67,19 +67,6 @@ from .models import (
     noisy_likelihood,
     single_param_likelihood,
 )
-from .risk import (
-    GaussianPrior1D,
-    MonteCarloRisk,
-    RiskPoint,
-    bayes_risk_1d,
-    bayes_risk_nd,
-    optimal_time,
-    posterior_mean_1d,
-    quadrature_posterior_mean_1d,
-    risk_envelope,
-    risk_scan,
-    trace_radius_inversion,
-)
 from .simulate import (
     EXACT,
     NOISY_EXACT,

@@ -31,7 +31,6 @@ from .models import (
     dense_oracle_distribution,
 )
 from .output import emit_results, format_float, write_fits_csv
-from .risk import GaussianPrior1D, optimal_time, quadrature_posterior_mean_1d, posterior_mean_1d, risk_scan
 
 
 def _load_config(args) -> RunConfig:
@@ -62,6 +61,8 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_risk(args) -> int:
+    from .risk import GaussianPrior1D, optimal_time, risk_scan
+
     prior = GaussianPrior1D(args.mu, args.sigma)
     t_opt = optimal_time(args.sigma)
     t_max = args.t_max if args.t_max is not None else 4.0 / args.sigma
@@ -126,27 +127,40 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .risk import GaussianPrior1D, posterior_mean_1d, quadrature_posterior_mean_1d
+
     rng = np.random.default_rng(args.seed or 0)
     failures = 0
 
-    worst = 0.0
-    for n in (2, 3, 4, 5):
-        for maker in (InteractionGraph.complete, InteractionGraph.line):
-            graph = maker(n)
-            model = IsingModel(graph)
-            for _ in range(args.instances):
-                x = rng.uniform(-0.5, 0.5, graph.dimension)
-                inversion = rng.uniform(-0.5, 0.5, graph.dimension)
-                t = rng.uniform(0.001, 100.0)
-                spec = ExperimentSpec(IQLE, t, inversion, FULL_BASIS)
-                gap = np.max(np.abs(
-                    model.outcome_distribution(x, spec)
-                    - dense_oracle_distribution(graph, x, spec)
-                ))
-                worst = max(worst, float(gap))
+    graphs = [(f"{maker.__name__}({n})", maker(n)) for n in (2, 3, 4, 5)
+              for maker in (InteractionGraph.complete, InteractionGraph.line)]
+    graphs += [("5-cycle", InteractionGraph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))),
+               ("(0,1),(2,3) on 5 qubits", InteractionGraph(5, ((0, 1), (2, 3))))]
+    worst = worst_kernel = 0.0
+    kernels = []
+    for label, graph in graphs:
+        model = IsingModel(graph)
+        kernels.append(f"{label} {model.kernel}")
+        for _ in range(args.instances):
+            x = rng.uniform(-0.5, 0.5, graph.dimension)
+            inversion = rng.uniform(-0.5, 0.5, graph.dimension)
+            t = rng.uniform(0.001, 100.0)
+            for measurement in (FULL_BASIS, TWO_OUTCOME):
+                spec = ExperimentSpec(IQLE, t, inversion, measurement)
+                oracle = dense_oracle_distribution(graph, x, spec)
+                scores = [model.likelihood(d, x, spec) for d in range(oracle.size)]
+                worst_kernel = max(worst_kernel, float(np.max(np.abs(scores - oracle))))
+                if measurement == FULL_BASIS:
+                    gap = np.max(np.abs(model.outcome_distribution(x, spec) - oracle))
+                    worst = max(worst, float(gap))
     ok = worst < 1e-9
     failures += not ok
     print(f"{'PASS' if ok else 'FAIL'} fast path vs dense reference: max gap {worst:.3e}")
+    ok = worst_kernel < 1e-9
+    failures += not ok
+    print(f"{'PASS' if ok else 'FAIL'} likelihood kernel vs dense reference, every outcome: "
+          f"max gap {worst_kernel:.3e}")
+    print("kernels: " + ", ".join(kernels))
 
     graph = InteractionGraph.complete(4)
     model = IsingModel(graph)

@@ -6,10 +6,11 @@ system starts in ``|+>^n``, evolves under the unknown couplings for time t,
 optionally has a guessed evolution inverted on top of it, and is measured in
 the ``X^n`` eigenbasis.  Because H is diagonal, the whole outcome
 distribution reduces to per-bitstring phases followed by a Walsh-Hadamard
-transform, which is what the fast path does.  A dense matrix reference
-implementation (`dense_oracle_distribution`) provides an independent
-brute-force check, and the analytic single-coupling model covers the exactly
-solvable case.
+transform, which is what the fast path does; the likelihood of one outcome
+is a single character sum, or on a forest a product of one-coupling
+factors.  A dense matrix reference implementation
+(`dense_oracle_distribution`) provides an independent brute-force check, and
+the analytic single-coupling model covers the exactly solvable case.
 """
 
 from __future__ import annotations
@@ -251,12 +252,53 @@ def _bit_parity(v: np.ndarray) -> np.ndarray:
     return (v & np.uint64(1)).astype(np.int64)
 
 
+def _odd(mask: int) -> bool:
+    return bin(mask).count("1") % 2 == 1
+
+
+def _components(n: int, edges) -> Tuple[list, bool]:
+    """Bitmask of each connected component of `edges` on n vertices (isolated
+    vertices included), found by union-find, and whether the edges form a forest.
+    """
+    root = list(range(n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    forest = True
+    for i, j in edges:
+        ri, rj = find(i), find(j)
+        forest &= ri != rj
+        root[ri] = rj
+    masks = {}
+    for v in range(n):
+        masks[find(v)] = masks.get(find(v), 0) | 1 << v
+    return list(masks.values()), forest
+
+
 class IsingModel(LikelihoodModel):
     """Diagonal Ising couplings on an interaction graph.
 
-    The fast path applies per-bitstring phases exp(-i dE(z) t), with
-    dE(z) = E(z) - E_inv(z), followed by a Walsh-Hadamard transform; phases
-    are reduced mod 2*pi before trig evaluation to limit error at large t.
+    `outcome_distribution` applies per-bitstring phases exp(-i dE(z) t), with
+    dE(z) = E(z) - E_inv(z), followed by a Walsh-Hadamard transform.
+    `likelihood_many` scores one outcome D for many particles and picks its
+    `kernel` from the graph.  Both use that E(z) is unchanged when every spin
+    of a connected component flips, so D has probability 0 when it has odd
+    parity within some component.
+
+    - "forest": the bond variables s_i s_j of a forest are independent, so
+      P(D) is the product over edges of sin^2(delta_e t) where D has odd
+      parity on the side of edge e holding its second vertex, and
+      cos^2(delta_e t) elsewhere.
+    - "half-table": with a cycle the character sum runs over the half of the
+      sign table whose last qubit is 0, with real cos/sin in place of exp.
+
+    numpy's trig functions reduce their own arguments, so neither path needs
+    a reduction mod 2*pi; `outcome_distribution` keeps one only so that
+    outcomes sampled from it stay bit for bit what they were.
     """
 
     def __init__(self, graph: InteractionGraph, box=DEFAULT_BOX,
@@ -268,7 +310,15 @@ class IsingModel(LikelihoodModel):
         self.box = _as_box(box, self.dimension)
         self._n_states = 2**graph.n
         self._signs = self._sign_table(graph)
-        # Cap on elements held by one chunk of the vectorized likelihood.
+        self._component_masks, forest = _components(graph.n, graph.edges)
+        self.kernel = "forest" if forest else "half-table"
+        if forest:
+            # Cutting edge e splits its tree; keep the side holding vertex j.
+            self._side_masks = []
+            for e, (_, j) in enumerate(graph.edges):
+                parts, _ = _components(graph.n, graph.edges[:e] + graph.edges[e + 1:])
+                self._side_masks.append(next(m for m in parts if m >> j & 1))
+        # Cap on elements held by one chunk of the half-table likelihood.
         self._chunk_elements = 2**22
 
     @staticmethod
@@ -310,9 +360,12 @@ class IsingModel(LikelihoodModel):
     def likelihood_many(self, outcome: int, xs, exp: ExperimentSpec, rng=None) -> np.ndarray:
         """Probability of `outcome` for every row of `xs`, vectorized.
 
-        For a single fixed outcome the transform collapses to one character
-        sum, so each chunk costs a (chunk, d) @ (d, 2^n) product plus one
-        complex dot instead of a full transform per particle.
+        On a forest each particle costs d trig calls (see the class
+        docstring).  With a cycle the transform collapses to one character
+        sum over the half table, so each chunk costs a (chunk, d) @
+        (d, 2^(n-1)) product plus two real dots.  The two-outcome complement
+        (outcome 1) is computed directly on a forest, free of cancellation
+        as the return probability nears 1; with a cycle it is 1 - p0.
         """
         self._check_outcome(outcome, exp)
         xs = np.asarray(xs, dtype=float)
@@ -329,17 +382,33 @@ class IsingModel(LikelihoodModel):
             target, complement = 0, outcome == 1
         else:
             target, complement = outcome, False
-        chi = 1.0 - 2.0 * _bit_parity(
-            np.bitwise_and(np.uint64(target), np.arange(self._n_states, dtype=np.uint64))
-        ).astype(float)
+        if any(_odd(target & mask) for mask in self._component_masks):
+            return np.full(deltas.shape[0], LIKELIHOOD_FLOOR)
 
+        if self.kernel == "forest":
+            angles = deltas * exp.time
+            if complement:
+                sin2 = np.sin(angles) ** 2
+                with np.errstate(divide="ignore"):
+                    out = -np.expm1(np.log1p(-sin2).sum(axis=1))
+            else:
+                out = np.ones(deltas.shape[0])
+                for e, side in enumerate(self._side_masks):
+                    trig = np.sin if _odd(target & side) else np.cos
+                    out *= trig(angles[:, e]) ** 2
+            return np.clip(out, LIKELIHOOD_FLOOR, 1.0)
+
+        half = self._n_states // 2
+        signs = self._signs[:, :half]
+        chi = 1.0 - 2.0 * _bit_parity(
+            np.bitwise_and(np.uint64(target), np.arange(half, dtype=np.uint64))
+        ).astype(float)
         out = np.empty(deltas.shape[0])
-        chunk = max(1, self._chunk_elements // self._n_states)
+        chunk = max(1, self._chunk_elements // half)
         for start in range(0, deltas.shape[0], chunk):
-            block = deltas[start : start + chunk]
-            phases = np.mod((block @ self._signs) * exp.time, 2.0 * np.pi)
-            amps = np.exp(-1j * phases) @ chi / self._n_states
-            out[start : start + chunk] = np.abs(amps) ** 2
+            phases = (deltas[start : start + chunk] @ signs) * exp.time
+            re, im = np.cos(phases) @ chi, np.sin(phases) @ chi
+            out[start : start + chunk] = (re * re + im * im) / (half * half)
         if complement:
             out = 1.0 - out
         return np.clip(out, LIKELIHOOD_FLOOR, 1.0)

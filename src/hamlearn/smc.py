@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy import stats
 
 from .errors import DimensionMismatch, ZeroTotalWeight
 
@@ -251,6 +250,8 @@ def credible_region(cloud: ParticleCloud, alpha: float) -> CredibleEllipse:
     The quantile level is exposed explicitly because both conventions appear
     in the literature.
     """
+    from scipy import stats  # deferred: costs about a second to import
+
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
     cov = posterior_covariance(cloud)

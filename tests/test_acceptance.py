@@ -120,24 +120,32 @@ def test_04_noise_insensitivity_with_inversion():
 def test_05_likelihood_oracle_equivalence():
     started = time.perf_counter()
     rng = np.random.default_rng(20500)
-    worst = 0.0
-    for n in (2, 3, 4, 5):
-        for maker in (InteractionGraph.complete, InteractionGraph.line):
-            graph = maker(n)
-            model = IsingModel(graph)
-            for _ in range(50):
-                x = rng.uniform(-0.5, 0.5, graph.dimension)
-                inversion = rng.uniform(-0.5, 0.5, graph.dimension)
-                t = rng.uniform(1e-3, 100.0)
-                spec = ExperimentSpec(IQLE, t, inversion, FULL_BASIS)
-                gap = np.max(np.abs(
-                    model.outcome_distribution(x, spec)
-                    - dense_oracle_distribution(graph, x, spec)
-                ))
-                worst = max(worst, float(gap))
-    ok = worst < 1e-9
+    graphs = [(f"{maker.__name__}({n})", maker(n)) for n in (2, 3, 4, 5)
+              for maker in (InteractionGraph.complete, InteractionGraph.line)]
+    graphs += [("5-cycle", InteractionGraph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))),
+               ("(0,1),(2,3) on 5 qubits", InteractionGraph(5, ((0, 1), (2, 3))))]
+    worst = worst_kernel = 0.0
+    kernels = []
+    for label, graph in graphs:
+        model = IsingModel(graph)
+        kernels.append(f"{label} {model.kernel}")
+        for _ in range(50):
+            x = rng.uniform(-0.5, 0.5, graph.dimension)
+            inversion = rng.uniform(-0.5, 0.5, graph.dimension)
+            t = rng.uniform(1e-3, 100.0)
+            for measurement in (FULL_BASIS, TWO_OUTCOME):
+                spec = ExperimentSpec(IQLE, t, inversion, measurement)
+                oracle = dense_oracle_distribution(graph, x, spec)
+                scores = [model.likelihood(d, x, spec) for d in range(oracle.size)]
+                worst_kernel = max(worst_kernel, float(np.max(np.abs(scores - oracle))))
+                if measurement == FULL_BASIS:
+                    gap = np.max(np.abs(model.outcome_distribution(x, spec) - oracle))
+                    worst = max(worst, float(gap))
+    ok = worst < 1e-9 and worst_kernel < 1e-9
+    print(f"[A5] kernels: {', '.join(kernels)}")
     _report("A5", ok, started,
-            f"fast path vs dense reference, 100 instances per n in 2..5: max gap {worst:.2e}")
+            f"fast path and likelihood kernel (every outcome, both measurements) vs dense "
+            f"reference, 50 instances per graph: max gap {worst:.2e} and {worst_kernel:.2e}")
     assert ok
 
 

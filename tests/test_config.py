@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -166,8 +168,19 @@ class TestCli:
     def test_validate_passes(self, capsys):
         assert main(["validate", "--instances", "5", "--seed", "1"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 4
+        assert out.count("PASS") == 5
         assert "FAIL" not in out
+        assert "line(5) forest" in out and "complete(5) half-table" in out
+
+    def test_cli_import_skips_scipy_submodules(self):
+        # scipy.stats and scipy.integrate cost about a second to import;
+        # `hamlearn learn` needs neither, so only the commands that do load them.
+        code = ("import sys, hamlearn.cli; "
+                "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True).stdout
+        assert out.strip() == "[]"
 
     def test_schema_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -28,6 +28,16 @@ from hamlearn.models import (
     single_param_likelihood,
 )
 
+# Graphs on which the likelihood kernel is checked against the dense oracle.
+ORACLE_GRAPHS = {
+    **{f"complete{n}": InteractionGraph.complete(n) for n in range(2, 7)},
+    **{f"line{n}": InteractionGraph.line(n) for n in range(2, 7)},
+    "star5": InteractionGraph(5, ((0, 1), (0, 2), (0, 3), (0, 4))),
+    "cycle5": InteractionGraph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4))),
+    "forest5": InteractionGraph(5, ((0, 1), (2, 3))),  # qubit 4 is isolated
+}
+FOREST5_COMPONENTS = (0b00011, 0b01100, 0b10000)
+
 
 class TestInteractionGraph:
     def test_complete_edge_count(self):
@@ -185,17 +195,70 @@ class TestIsingModel:
             np.testing.assert_allclose(many, each, rtol=1e-12)
 
     def test_chunking_consistent(self):
-        rng = np.random.default_rng(6)
-        graph = InteractionGraph.line(4)
+        # line(4) takes the unchunked forest kernel; complete(4) the chunk loop.
+        for graph in (InteractionGraph.line(4), InteractionGraph.complete(4)):
+            rng = np.random.default_rng(6)
+            model = IsingModel(graph)
+            model_small_chunks = IsingModel(graph)
+            model_small_chunks._chunk_elements = 64
+            xs = rng.uniform(-0.5, 0.5, (100, graph.dimension))
+            spec = ExperimentSpec(QLE, 3.0)
+            for outcome in range(16):
+                np.testing.assert_array_equal(
+                    model.likelihood_many(outcome, xs, spec),
+                    model_small_chunks.likelihood_many(outcome, xs, spec),
+                )
+
+    def test_kernel_follows_graph(self):
+        for name, graph in ORACLE_GRAPHS.items():
+            forest = name.startswith(("line", "star", "forest")) or name == "complete2"
+            assert IsingModel(graph).kernel == ("forest" if forest else "half-table")
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+    def test_likelihood_many_matches_oracle(self, name):
+        graph = ORACLE_GRAPHS[name]
+        components = FOREST5_COMPONENTS if name == "forest5" else (2**graph.n - 1,)
         model = IsingModel(graph)
-        model_small_chunks = IsingModel(graph)
-        model_small_chunks._chunk_elements = 64
-        xs = rng.uniform(-0.5, 0.5, (100, graph.dimension))
-        spec = ExperimentSpec(QLE, 3.0)
-        np.testing.assert_array_equal(
-            model.likelihood_many(2, xs, spec),
-            model_small_chunks.likelihood_many(2, xs, spec),
-        )
+        rng = np.random.default_rng(13)
+        for kind in (CLE, QLE, IQLE):
+            for measurement in (FULL_BASIS, TWO_OUTCOME):
+                for t in (0.0, rng.uniform(0.01, 1.0), rng.uniform(1.0, 100.0), 100.0):
+                    inversion = rng.uniform(-0.5, 0.5, graph.dimension) if kind == IQLE else None
+                    spec = ExperimentSpec(kind, t, inversion, measurement)
+                    xs = rng.uniform(-0.5, 0.5, (4, graph.dimension))
+                    oracle = np.array([dense_oracle_distribution(graph, x, spec) for x in xs])
+                    for outcome in range(model.outcome_count(spec)):
+                        got = model.likelihood_many(outcome, xs, spec)
+                        np.testing.assert_allclose(got, oracle[:, outcome], rtol=0, atol=1e-12)
+                        if measurement == FULL_BASIS and any(
+                            bin(outcome & mask).count("1") % 2 for mask in components
+                        ):
+                            assert np.all(got == LIKELIHOOD_FLOOR)
+
+    @pytest.mark.parametrize("name", ["line5", "complete5", "cycle5"])
+    def test_likelihood_many_matches_oracle_at_t_max(self, name):
+        # At t = 1e6 both sides lose about 1e-10 to rounding of the energies.
+        graph = ORACLE_GRAPHS[name]
+        model = IsingModel(graph)
+        rng = np.random.default_rng(14)
+        xs = rng.uniform(-0.5, 0.5, (8, graph.dimension))
+        spec = ExperimentSpec(IQLE, 1e6, rng.uniform(-0.5, 0.5, graph.dimension))
+        oracle = np.array([dense_oracle_distribution(graph, x, spec) for x in xs])
+        for outcome in range(2**graph.n):
+            np.testing.assert_allclose(model.likelihood_many(outcome, xs, spec),
+                                       oracle[:, outcome], rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("delta", [1e-9, 1e-6])
+    def test_two_outcome_complement_without_cancellation(self, delta):
+        # Near a perfect echo P(1) = sum_e sin^2(delta_e t) + O(delta^4); the
+        # differences below are exact in floating point (Sterbenz).
+        model = IsingModel(InteractionGraph.line(3))
+        inversion = np.array([0.3, -0.2])
+        x = inversion + delta
+        spec = ExperimentSpec(IQLE, 1.0, inversion, TWO_OUTCOME)
+        expected = float(np.sum((x - inversion) ** 2))
+        got = model.likelihood_many(1, x[None, :], spec)[0]
+        assert got == pytest.approx(expected, rel=1e-8, abs=0)
 
     def test_two_outcome_return_bound(self):
         # P(return) >= max(0, 1 - 2 ||H - H_inv|| t)^2 with the exact
