@@ -127,7 +127,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    from .risk import GaussianPrior1D, posterior_mean_1d, quadrature_posterior_mean_1d
+    from .risk import (GaussianPrior1D, bayes_risk_1d, posterior_mean_1d,
+                       quadrature_bayes_risk_1d, quadrature_posterior_mean_1d)
 
     rng = np.random.default_rng(args.seed or 0)
     failures = 0
@@ -184,7 +185,7 @@ def _cmd_validate(args) -> int:
     print(f"{'PASS' if ok else 'FAIL'} one-coupling model vs 2-qubit pair: max gap {gap:.3e}")
 
     prior = GaussianPrior1D(0.5, 0.1)
-    gap = 0.0
+    gap = risk_gap = 0.0
     for _ in range(max(5, args.instances // 20)):
         x_inv = rng.uniform(0.2, 0.8)
         t = rng.uniform(0.5, 20.0)
@@ -193,9 +194,18 @@ def _cmd_validate(args) -> int:
                 posterior_mean_1d(d, prior, x_inv, t)
                 - quadrature_posterior_mean_1d(d, prior, x_inv, t)
             ))
+        for alpha in (0.0, 0.1):
+            risk_gap = max(risk_gap, abs(
+                bayes_risk_1d(prior, x_inv, t, alpha)
+                - quadrature_bayes_risk_1d(prior, x_inv, t, alpha)
+            ) / prior.sigma**2)
     ok = gap < 1e-6
     failures += not ok
     print(f"{'PASS' if ok else 'FAIL'} closed-form posterior mean vs quadrature: max gap {gap:.3e}")
+    ok = risk_gap < 1e-9
+    failures += not ok
+    print(f"{'PASS' if ok else 'FAIL'} closed-form risk vs quadrature: "
+          f"max gap {risk_gap:.3e} sigma^2")
 
     return 1 if failures else 0
 

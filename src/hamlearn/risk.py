@@ -1,8 +1,10 @@
 """Analytic and Monte Carlo expected-loss analysis for echo experiments.
 
-For the one-coupling model with a Gaussian prior, the posterior mean has a
-closed form and the expected posterior variance (the average-case loss of
-the optimal estimator) can be computed by adaptive quadrature.  The risk as
+For the one-coupling model with a Gaussian prior, the posterior mean and the
+expected posterior variance (the average-case loss of the optimal
+estimator) have closed forms: every moment is a Gaussian integral of a
+cosine.  Adaptive quadrature of the same moments is kept as the independent
+reference the closed forms are checked against.  The risk as
 a function of evolution time is pinched between sigma^2 and the envelope
 sigma^2 (1 - 4 sigma^2 t^2 exp(-4 sigma^2 t^2)), whose minimum sits at
 t = 1/(2 sigma) with value (1 - 1/e) sigma^2.  Small multi-coupling problems
@@ -109,8 +111,13 @@ def _quad(f: Callable[[float], float], lo: float, hi: float) -> float:
     return value
 
 
-def _outcome0_moments(prior: GaussianPrior1D, x_inv: float, t: float):
-    """Quadrature moments (mass, E[x * L], E[x^2 * L]) for outcome 0."""
+def _quadrature_moments(prior: GaussianPrior1D, x_inv: float, t: float):
+    """Per-outcome (mass, E[x * L], E[x^2 * L]), by adaptive quadrature.
+
+    Only the outcome-0 integrals are computed; outcome 1 follows from the
+    complements mass_1 = 1 - mass_0, etc., because the two likelihoods sum
+    to one pointwise.
+    """
     lo = prior.mu - _QUAD_HALF_WIDTH * prior.sigma
     hi = prior.mu + _QUAD_HALF_WIDTH * prior.sigma
 
@@ -120,24 +127,54 @@ def _outcome0_moments(prior: GaussianPrior1D, x_inv: float, t: float):
     mass = _quad(weighted, lo, hi)
     first = _quad(lambda x: x * weighted(x), lo, hi)
     second = _quad(lambda x: x * x * weighted(x), lo, hi)
-    return mass, first, second
-
-
-def _posterior_moments(prior: GaussianPrior1D, x_inv: float, t: float):
-    """Per-outcome (mass, posterior mean, posterior variance), by quadrature.
-
-    Only the outcome-0 integrals are computed; outcome 1 follows from the
-    exact complements mass_1 = 1 - mass_0, etc., because the two likelihoods
-    sum to one pointwise.  A datum whose mass falls below the floor is
-    treated as rejected: the posterior keeps the prior mean and variance.
-    """
-    mass0, first0, second0 = _outcome0_moments(prior, x_inv, t)
     prior_second = prior.mu**2 + prior.sigma**2
+    return (mass, first, second), (1.0 - mass, prior.mu - first, prior_second - second)
+
+
+def _closed_form_moments(prior: GaussianPrior1D, x_inv: float, t: float):
+    """Per-outcome (mass, E[x * L], E[x^2 * L]), exactly.
+
+    With omega = 2t, L0 = (1 + cos(omega (x - x_inv))) / 2, and the Gaussian
+    characteristic function gives phi = E[exp(i omega (x - x_inv))] =
+    exp(i omega (mu - x_inv) - sigma^2 omega^2 / 2), E[x e^{...}] =
+    (mu + i sigma^2 omega) phi and E[x^2 e^{...}] = ((mu + i sigma^2 omega)^2
+    + sigma^2) phi.  Outcome 1 is built on D = 1 - Re phi, evaluated without
+    cancellation, so its small masses at short times keep full precision.
+    """
+    mu, var = prior.mu, prior.sigma**2
+    omega = 2.0 * t
+    damping = 0.5 * var * omega * omega
+    phase = omega * (mu - x_inv)
+    envelope = math.exp(-damping)
+    re_phi = envelope * math.cos(phase)
+    im_phi = envelope * math.sin(phase)
+    d = -math.expm1(-damping) + 2.0 * envelope * math.sin(0.5 * phase) ** 2
+    prior_second = mu * mu + var
+    shift = var * omega  # sigma^2 omega
+    return (
+        (
+            0.5 * (1.0 + re_phi),
+            0.5 * (mu + mu * re_phi - shift * im_phi),
+            0.5 * (prior_second + (prior_second - shift * shift) * re_phi
+                   - 2.0 * mu * shift * im_phi),
+        ),
+        (
+            0.5 * d,
+            0.5 * (mu * d + shift * im_phi),
+            0.5 * (prior_second * d + shift * shift * re_phi + 2.0 * mu * shift * im_phi),
+        ),
+    )
+
+
+def _posterior_moments(prior: GaussianPrior1D, x_inv: float, t: float,
+                       raw_moments=_closed_form_moments):
+    """Per-outcome (mass, posterior mean, posterior variance).
+
+    A datum whose mass falls below the floor is treated as rejected: the
+    posterior keeps the prior mean and variance.
+    """
     results = []
-    for mass, first, second in (
-        (mass0, first0, second0),
-        (1.0 - mass0, prior.mu - first0, prior_second - second0),
-    ):
+    for mass, first, second in raw_moments(prior, x_inv, t):
         if mass <= _MASS_FLOOR:
             results.append((max(mass, 0.0), prior.mu, prior.sigma**2))
             continue
@@ -153,26 +190,34 @@ def quadrature_posterior_mean_1d(
     """Posterior mean by adaptive quadrature; reference for the closed form."""
     if d not in (0, 1):
         raise ValueError("outcome must be 0 or 1")
-    moments = _posterior_moments(prior, x_inv, t)
+    moments = _posterior_moments(prior, x_inv, t, _quadrature_moments)
     return moments[d][1]
+
+
+def _risk(prior: GaussianPrior1D, x_inv: float, t: float, alpha: float, raw_moments) -> float:
+    if not 0.0 <= alpha <= 0.5:
+        raise ValueError("bit-flip rate must lie in [0, 0.5]")
+    moments = _posterior_moments(prior, x_inv, t, raw_moments)
+    return sum(bitflip_wrap(alpha, mass) * variance for mass, _, variance in moments)
 
 
 def bayes_risk_1d(
     prior: GaussianPrior1D, x_inv: float, t: float, alpha: float = 0.0
 ) -> float:
-    """Expected posterior variance after one experiment.
+    """Expected posterior variance after one experiment, in closed form.
 
     The posterior is always computed with the noiseless model; when alpha > 0
     the outcome probabilities are taken from the bit-flipped data
     distribution instead, modeling an inference engine blind to the noise.
     """
-    if not 0.0 <= alpha <= 0.5:
-        raise ValueError("bit-flip rate must lie in [0, 0.5]")
-    moments = _posterior_moments(prior, x_inv, t)
-    risk = 0.0
-    for mass, _, variance in moments:
-        risk += bitflip_wrap(alpha, mass) * variance
-    return risk
+    return _risk(prior, x_inv, t, alpha, _closed_form_moments)
+
+
+def quadrature_bayes_risk_1d(
+    prior: GaussianPrior1D, x_inv: float, t: float, alpha: float = 0.0
+) -> float:
+    """`bayes_risk_1d` by adaptive quadrature; reference for the closed form."""
+    return _risk(prior, x_inv, t, alpha, _quadrature_moments)
 
 
 def risk_envelope(t, sigma: float):

@@ -17,6 +17,9 @@ from .errors import DimensionMismatch, ZeroTotalWeight
 
 # |sum(weights) - 1| stays below this after every public operation.
 WEIGHT_TOL = 1e-12
+# Resampling rejects weights further than this from summing to one, as
+# numpy's Generator.choice does.
+_CHOICE_SUM_TOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 class Particle(NamedTuple):
@@ -179,7 +182,11 @@ def posterior_mean(cloud: ParticleCloud) -> np.ndarray:
 
 def posterior_covariance(cloud: ParticleCloud) -> np.ndarray:
     """Weighted covariance of the particle positions (symmetric PSD)."""
-    centered = cloud.positions - posterior_mean(cloud)
+    return _covariance_about(cloud, posterior_mean(cloud))
+
+
+def _covariance_about(cloud: ParticleCloud, mean: np.ndarray) -> np.ndarray:
+    centered = cloud.positions - mean
     cov = (centered * cloud.weights[:, None]).T @ centered
     return 0.5 * (cov + cov.T)
 
@@ -230,14 +237,35 @@ def liu_west_resample(
     if not 0.0 <= a <= 1.0:
         raise ValueError("mixing parameter a must lie in [0, 1]")
     n, d = cloud.size, cloud.dimension
-    parents = cloud.positions[rng.choice(n, size=n, p=cloud.weights)]
+    parents = np.take(cloud.positions, _draw_parents(cloud.weights, rng), axis=0)
     uniform = np.full(n, 1.0 / n)
     if a == 1.0:
         return ParticleCloud(parents, uniform)
     mean = posterior_mean(cloud)
-    scale = np.sqrt(1.0 - a * a) * _cholesky_with_jitter(posterior_covariance(cloud))
-    positions = a * parents + (1.0 - a) * mean + rng.standard_normal((n, d)) @ scale.T
-    return ParticleCloud(positions, uniform)
+    scale = np.sqrt(1.0 - a * a) * _cholesky_with_jitter(_covariance_about(cloud, mean))
+    # a * parent + (1 - a) * mean + kick, built in place in the parents' array
+    parents *= a
+    parents += (1.0 - a) * mean
+    parents += rng.standard_normal((n, d)) @ scale.T
+    return ParticleCloud(parents, uniform)
+
+
+def _draw_parents(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Multinomial parent indices: the draws of ``rng.choice(n, n, p=weights)``.
+
+    The same uniforms are located in the same normalized cumulative sum, but
+    in sorted order, which keeps the binary searches cache-friendly; the
+    results are scattered back to draw order.
+    """
+    cdf = np.cumsum(weights)
+    if abs(cdf[-1] - 1.0) > _CHOICE_SUM_TOL:
+        raise ValueError("probabilities do not sum to 1")
+    cdf /= cdf[-1]
+    uniforms = rng.random(weights.shape[0])
+    order = np.argsort(uniforms)
+    picks = np.empty(weights.shape[0], dtype=np.intp)
+    picks[order] = np.searchsorted(cdf, uniforms[order], side="right")
+    return picks
 
 
 def credible_region(cloud: ParticleCloud, alpha: float) -> CredibleEllipse:

@@ -68,12 +68,12 @@ def test_02_quadrature_vs_monte_carlo_risk():
     prior = GaussianPrior1D(0.5, 0.1)
     t = optimal_time(prior.sigma)
     x_inv = prior.mu + prior.sigma
-    quad = bayes_risk_1d(prior, x_inv, t, 0.0)
+    closed = bayes_risk_1d(prior, x_inv, t, 0.0)
     mc, stderr = monte_carlo_risk_1d(prior, x_inv, t, 0.0, 1_000_000, np.random.default_rng(20200))
-    gap = abs(quad - mc)
+    gap = abs(closed - mc)
     ok = gap < 3 * stderr
     _report("A2", ok, started,
-            f"quadrature {quad:.6e} vs 1e6-sample MC {mc:.6e} (gap {gap:.2e}, 3se {3*stderr:.2e})")
+            f"closed form {closed:.6e} vs 1e6-sample MC {mc:.6e} (gap {gap:.2e}, 3se {3*stderr:.2e})")
     assert ok
 
 

@@ -168,7 +168,7 @@ class TestCli:
     def test_validate_passes(self, capsys):
         assert main(["validate", "--instances", "5", "--seed", "1"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 5
+        assert out.count("PASS") == 6
         assert "FAIL" not in out
         assert "line(5) forest" in out and "complete(5) half-table" in out
 

@@ -12,6 +12,7 @@ from hamlearn.risk import (
     bayes_risk_nd,
     optimal_time,
     posterior_mean_1d,
+    quadrature_bayes_risk_1d,
     quadrature_posterior_mean_1d,
     risk_envelope,
     risk_scan,
@@ -121,20 +122,20 @@ class TestBayesRisk1d:
         prior = GaussianPrior1D(0.5, 0.1)
         t = optimal_time(prior.sigma)
         x_inv = prior.mu + prior.sigma
-        quad = bayes_risk_1d(prior, x_inv, t, 0.0)
+        closed = bayes_risk_1d(prior, x_inv, t, 0.0)
         mc, stderr = monte_carlo_risk_1d(
             prior, x_inv, t, 0.0, 200_000, np.random.default_rng(2)
         )
-        assert abs(quad - mc) < 3 * stderr
+        assert abs(closed - mc) < 3 * stderr
 
     def test_matches_monte_carlo_noisy(self):
         prior = GaussianPrior1D(0.5, 0.1)
         t = optimal_time(prior.sigma)
-        quad = bayes_risk_1d(prior, prior.mu + prior.sigma, t, 0.1)
+        closed = bayes_risk_1d(prior, prior.mu + prior.sigma, t, 0.1)
         mc, stderr = monte_carlo_risk_1d(
             prior, prior.mu + prior.sigma, t, 0.1, 200_000, np.random.default_rng(3)
         )
-        assert abs(quad - mc) < 3 * stderr
+        assert abs(closed - mc) < 3 * stderr
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
@@ -145,7 +146,58 @@ class TestBayesRisk1d:
 
         # an astronomically fast oscillation defeats the subdivision budget
         with pytest.raises(QuadratureFailure):
-            bayes_risk_1d(GaussianPrior1D(0.5, 0.1), 0.6, 1e8, 0.0)
+            quadrature_posterior_mean_1d(0, GaussianPrior1D(0.5, 0.1), 0.6, 1e8)
+
+    def test_uninformative_at_huge_time(self):
+        # the data oscillate far faster than the prior width: no information
+        prior = GaussianPrior1D(0.5, 0.1)
+        for alpha in (0.0, 0.1):
+            assert bayes_risk_1d(prior, 0.6, 1e8, alpha) == pytest.approx(
+                prior.sigma**2, rel=1e-12
+            )
+
+    def test_matches_simpson_reference(self):
+        # Outcome 1 is integrated from sin^2 directly, never as 1 - mass_0, so
+        # the reference keeps the tiny outcome-1 masses of short times exact.
+        mu, sigma = 0.5, 0.1
+        prior = GaussianPrior1D(mu, sigma)
+        n = 400_001
+        offset = np.linspace(-12.0 * sigma, 12.0 * sigma, n)
+        weights = np.ones(n)
+        weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
+        weights *= (offset[1] - offset[0]) / 3.0 * np.exp(-0.5 * (offset / sigma) ** 2)
+        weights /= sigma * math.sqrt(2.0 * math.pi)
+        worst = 0.0
+        for t_sigma in (1e-5, 1e-4, 1e-3, 0.1, 1.0, 4.0):
+            t = t_sigma / sigma
+            for x_inv in (mu, mu + sigma, mu + 3 * sigma):
+                phase = (mu + offset - x_inv) * t
+                moments = []
+                for like in (np.cos(phase) ** 2, np.sin(phase) ** 2):
+                    mass = weights @ like
+                    # central moments avoid cancelling mu^2 against sigma^2
+                    shift = (weights * like) @ offset / mass
+                    variance = (weights * like) @ offset**2 / mass - shift**2
+                    moments.append((mass, variance))
+                for alpha in (0.0, 0.1):
+                    reference = sum(
+                        (alpha + (1 - 2 * alpha) * mass) * variance for mass, variance in moments
+                    )
+                    gap = abs(bayes_risk_1d(prior, x_inv, t, alpha) - reference)
+                    worst = max(worst, gap / sigma**2)
+        assert worst < 1e-10
+
+    def test_matches_quadrature_risk(self):
+        rng = np.random.default_rng(9)
+        for _ in range(40):
+            sigma = float(rng.choice([1.0, 0.1, 0.01]))
+            prior = GaussianPrior1D(rng.uniform(-1, 1), sigma)
+            x_inv = prior.mu + rng.uniform(-3, 3) * sigma
+            t = rng.uniform(0.05, 5.0) / sigma
+            for alpha in (0.0, 0.1):
+                gap = abs(bayes_risk_1d(prior, x_inv, t, alpha)
+                          - quadrature_bayes_risk_1d(prior, x_inv, t, alpha))
+                assert gap < 1e-9 * sigma**2
 
 
 class TestRiskEnvelope:
@@ -243,7 +295,7 @@ class TestBayesRiskNd:
         assert result.mean + 3 * result.stderr < prior_trace
 
     def test_agrees_with_quadrature_on_single_edge(self):
-        # Cross-validation of the Monte Carlo path against the quadrature
+        # Cross-validation of the Monte Carlo path against the closed-form
         # path on the exactly solvable one-coupling model.
         rng = np.random.default_rng(7)
         prior = GaussianPrior1D(0.25, 0.03)
@@ -254,9 +306,9 @@ class TestBayesRiskNd:
         x_inv = prior.mu + prior.sigma
         spec = ExperimentSpec("IQLE", t, [x_inv], TWO_OUTCOME)
         mc = bayes_risk_nd(model, cloud, spec, 0.0, 400, rng)
-        quad = bayes_risk_1d(prior, x_inv, t, 0.0)
+        closed = bayes_risk_1d(prior, x_inv, t, 0.0)
         # allow extra slack for the finite-particle prior discretization
-        assert abs(mc.mean - quad) < 3 * mc.stderr + 0.02 * quad
+        assert abs(mc.mean - closed) < 3 * mc.stderr + 0.02 * closed
 
     def test_bitflip_requires_two_outcome(self):
         rng = np.random.default_rng(8)

@@ -216,6 +216,31 @@ class TestLiuWestResample:
         positions = {tuple(p) for p in cloud.positions}
         assert all(tuple(p) in positions for p in resampled.positions)
 
+    def test_parents_match_multinomial_choice(self):
+        # The parents are exactly the draws of rng.choice(n, n, p=w), and the
+        # generator is left in the same state.
+        rng = np.random.default_rng(10)
+        sparse = np.zeros(400)
+        sparse[rng.choice(400, 7, replace=False)] = rng.uniform(size=7)
+        one_hot = np.zeros(50)
+        one_hot[13] = 1.0
+        for weights in (np.full(300, 1.0), rng.uniform(size=1000),
+                        rng.dirichlet(np.full(2000, 0.05)), sparse, one_hot,
+                        np.exp(-rng.uniform(0.0, 600.0, 500))):
+            weights = weights / weights.sum()
+            n = weights.size
+            cloud = ParticleCloud(np.arange(n, dtype=float), weights)
+            ours, reference = np.random.default_rng(11), np.random.default_rng(11)
+            resampled = liu_west_resample(cloud, a=1.0, rng=ours)
+            picks = reference.choice(n, n, p=cloud.weights)
+            np.testing.assert_array_equal(resampled.positions[:, 0], picks)
+            assert ours.random() == reference.random()
+
+    def test_weights_must_sum_to_one(self):
+        cloud = ParticleCloud(np.arange(10.0), np.full(10, 0.2))
+        with pytest.raises(ValueError):
+            liu_west_resample(cloud, a=0.9, rng=np.random.default_rng(12))
+
     def test_weights_reset_to_uniform(self):
         rng = np.random.default_rng(6)
         cloud = random_cloud(rng, size=30)
