@@ -30,4 +30,4 @@ class InsufficientData(HamlearnError, ValueError):
 
 
 class SchemaError(HamlearnError, ValueError):
-    """Configuration text violates the expected schema."""
+    """Configuration text or a command-line value violates the expected schema."""

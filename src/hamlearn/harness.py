@@ -10,7 +10,6 @@ decay-exponent fits summarize how fast the loss shrinks.
 from __future__ import annotations
 
 import math
-import time as _time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -20,13 +19,7 @@ import numpy as np
 from .config import ModelConfig, RunConfig
 from .design import PghConfig, pgh
 from .errors import DegenerateCloud, InsufficientData, ZeroTotalWeight
-from .models import (
-    TWO_OUTCOME,
-    InteractionGraph,
-    IsingModel,
-    LikelihoodModel,
-    SingleParameterModel,
-)
+from .models import TWO_OUTCOME, InteractionGraph, IsingModel
 from .simulate import LikelihoodEvaluator, sample_outcome
 from .smc import (
     ParticleCloud,
@@ -49,7 +42,6 @@ class ExperimentRecord:
     resampled: bool
     time: float
     sim_calls: int
-    wall_clock: float
     skipped: bool = False
 
 
@@ -99,10 +91,14 @@ class EnsembleResult:
     trial_seeds: Tuple[int, ...]
 
 
-def build_model(model_config: ModelConfig) -> LikelihoodModel:
-    """Instantiate the likelihood model described by a config block."""
+def build_model(model_config: ModelConfig) -> IsingModel:
+    """Instantiate the likelihood model described by a config block.
+
+    Kind "single" is the one-coupling echo: the 2-qubit pair, whatever the
+    configured graph and qubit count.
+    """
     if model_config.kind == "single":
-        return SingleParameterModel(box=model_config.box)
+        return IsingModel(InteractionGraph.line(2), box=model_config.box)
     if isinstance(model_config.graph, str):
         maker = getattr(InteractionGraph, model_config.graph)
         graph = maker(model_config.n)
@@ -111,7 +107,7 @@ def build_model(model_config: ModelConfig) -> LikelihoodModel:
     return IsingModel(graph, box=model_config.box)
 
 
-def build_evaluator(config: RunConfig, model: Optional[LikelihoodModel] = None) -> LikelihoodEvaluator:
+def build_evaluator(config: RunConfig, model: Optional[IsingModel] = None) -> LikelihoodEvaluator:
     model = model if model is not None else build_model(config.model)
     return LikelihoodEvaluator(
         model,
@@ -125,7 +121,7 @@ def build_evaluator(config: RunConfig, model: Optional[LikelihoodModel] = None) 
 DEGENERATE_JITTER_STD = 1e-2
 
 
-def draw_truth(config: RunConfig, model: LikelihoodModel, rng: np.random.Generator) -> np.ndarray:
+def draw_truth(config: RunConfig, model: IsingModel, rng: np.random.Generator) -> np.ndarray:
     """Sample a true coupling vector per the config's conventions.
 
     Fixed-truth mode returns the configured vector.  Degenerate mode draws a
@@ -149,7 +145,7 @@ def draw_truth(config: RunConfig, model: LikelihoodModel, rng: np.random.Generat
 
 
 def draw_prior_cloud(
-    config: RunConfig, model: LikelihoodModel, rng: np.random.Generator
+    config: RunConfig, model: IsingModel, rng: np.random.Generator
 ) -> ParticleCloud:
     """Initial particle cloud matching the config's truth-generating prior.
 
@@ -184,7 +180,7 @@ def run_trial(
     config: RunConfig,
     truth,
     rng: np.random.Generator,
-    model: Optional[LikelihoodModel] = None,
+    model: Optional[IsingModel] = None,
     designer: Optional[Callable] = None,
 ) -> LossTrajectory:
     """Run one learning trial of `config.n_experiments` experiments.
@@ -208,7 +204,6 @@ def run_trial(
     converged = False
 
     for index in range(config.n_experiments):
-        started = _time.perf_counter()
         try:
             spec = designer(cloud, rng)
         except DegenerateCloud:
@@ -242,7 +237,6 @@ def run_trial(
                 resampled=resampled,
                 time=spec.time,
                 sim_calls=sim_calls,
-                wall_clock=_time.perf_counter() - started,
                 skipped=skipped,
             )
         )

@@ -8,9 +8,11 @@ the ``X^n`` eigenbasis.  Because H is diagonal, the whole outcome
 distribution reduces to per-bitstring phases followed by a Walsh-Hadamard
 transform, which is what the fast path does; the likelihood of one outcome
 is a single character sum, or on a forest a product of one-coupling
-factors.  A dense matrix reference implementation
-(`dense_oracle_distribution`) provides an independent brute-force check, and
-the analytic single-coupling model covers the exactly solvable case.
+factors.  `IsingModel` is the one likelihood model: the exactly solvable
+one-coupling case is its 2-qubit pair, whose closed form
+`single_param_likelihood` serves the quadrature reference of `hamlearn.risk`.
+A dense matrix reference implementation (`dense_oracle_distribution`)
+provides an independent brute-force check.
 """
 
 from __future__ import annotations
@@ -110,60 +112,6 @@ class ExperimentSpec:
             raise ValueError(f"{self.kind} experiments take no inversion couplings")
 
 
-class LikelihoodModel:
-    """Contract shared by all likelihood models.
-
-    Subclasses define `dimension`, a `(d, 2)` parameter `box`,
-    `outcome_count(exp)` and `outcome_distribution(x, exp)`.  The likelihood
-    accessors clip into [0, 1] and apply LIKELIHOOD_FLOOR.  `rng` is accepted
-    (and ignored) by exact models so stochastic evaluators can share the
-    calling convention.
-    """
-
-    dimension: int
-    box: np.ndarray
-
-    def outcome_count(self, exp: ExperimentSpec) -> int:
-        raise NotImplementedError
-
-    def outcome_distribution(self, x, exp: ExperimentSpec) -> np.ndarray:
-        raise NotImplementedError
-
-    def likelihood(self, outcome: int, x, exp: ExperimentSpec, rng=None) -> float:
-        self._check_outcome(outcome, exp)
-        p = float(self.outcome_distribution(x, exp)[outcome])
-        return float(np.clip(p, LIKELIHOOD_FLOOR, 1.0))
-
-    def likelihood_many(self, outcome: int, xs, exp: ExperimentSpec, rng=None) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim == 1:
-            xs = xs.reshape(-1, 1)
-        return np.array([self.likelihood(outcome, x, exp) for x in xs])
-
-    def _check_outcome(self, outcome: int, exp: ExperimentSpec) -> None:
-        count = self.outcome_count(exp)
-        if not 0 <= outcome < count:
-            raise ValueError(f"outcome {outcome} outside [0, {count})")
-
-    def _check_params(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float).ravel()
-        if x.shape[0] != self.dimension:
-            raise DimensionMismatch(
-                f"expected {self.dimension} couplings, got {x.shape[0]}"
-            )
-        return x
-
-    def _inversion(self, exp: ExperimentSpec) -> Optional[np.ndarray]:
-        if exp.kind != IQLE:
-            return None
-        inv = np.asarray(exp.inversion, dtype=float).ravel()
-        if inv.shape[0] != self.dimension:
-            raise DimensionMismatch(
-                f"inversion has {inv.shape[0]} couplings, model has {self.dimension}"
-            )
-        return inv
-
-
 def _as_box(box, dimension: int) -> np.ndarray:
     box = np.asarray(box, dtype=float)
     if box.ndim == 1:
@@ -187,39 +135,6 @@ def single_param_likelihood(d: int, x, x_inv, t) -> Union[float, np.ndarray]:
     if np.ndim(x) == 0:
         return float(value)
     return value
-
-
-class SingleParameterModel(LikelihoodModel):
-    """Exactly solvable one-coupling model (two qubits, one edge).
-
-    Always a two-outcome experiment: outcome 0 is a return to the initial
-    state, outcome 1 its orthogonal complement.
-    """
-
-    def __init__(self, box=DEFAULT_BOX):
-        self.dimension = 1
-        self.box = _as_box(box, 1)
-
-    def outcome_count(self, exp: ExperimentSpec) -> int:
-        return 2
-
-    def outcome_distribution(self, x, exp: ExperimentSpec) -> np.ndarray:
-        x = self._check_params(x)
-        p0 = self.likelihood(0, x, exp)
-        return np.array([p0, 1.0 - p0])
-
-    def likelihood(self, outcome: int, x, exp: ExperimentSpec, rng=None) -> float:
-        return float(self.likelihood_many(outcome, np.atleast_2d(x), exp)[0])
-
-    def likelihood_many(self, outcome: int, xs, exp: ExperimentSpec, rng=None) -> np.ndarray:
-        self._check_outcome(outcome, exp)
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim == 1:
-            xs = xs.reshape(-1, 1)
-        inv = self._inversion(exp)
-        x_inv = 0.0 if inv is None else float(inv[0])
-        p = single_param_likelihood(outcome, xs[:, 0], x_inv, exp.time)
-        return np.clip(p, LIKELIHOOD_FLOOR, 1.0)
 
 
 def fwht(a: np.ndarray) -> np.ndarray:
@@ -279,7 +194,7 @@ def _components(n: int, edges) -> Tuple[list, bool]:
     return list(masks.values()), forest
 
 
-class IsingModel(LikelihoodModel):
+class IsingModel:
     """Diagonal Ising couplings on an interaction graph.
 
     `outcome_distribution` applies per-bitstring phases exp(-i dE(z) t), with
@@ -299,6 +214,11 @@ class IsingModel(LikelihoodModel):
     numpy's trig functions reduce their own arguments, so neither path needs
     a reduction mod 2*pi; `outcome_distribution` keeps one only so that
     outcomes sampled from it stay bit for bit what they were.
+
+    The one-coupling echo is the 2-qubit pair `InteractionGraph.line(2)`.
+    The likelihood accessors floor their values at LIKELIHOOD_FLOOR, and
+    accept (and ignore) `rng` so that the model and a stochastic
+    `LikelihoodEvaluator` share one calling convention.
     """
 
     def __init__(self, graph: InteractionGraph, box=DEFAULT_BOX,
@@ -341,6 +261,29 @@ class IsingModel(LikelihoodModel):
 
     def outcome_count(self, exp: ExperimentSpec) -> int:
         return 2 if exp.measurement == TWO_OUTCOME else self._n_states
+
+    def _check_outcome(self, outcome: int, exp: ExperimentSpec) -> None:
+        count = self.outcome_count(exp)
+        if not 0 <= outcome < count:
+            raise ValueError(f"outcome {outcome} outside [0, {count})")
+
+    def _check_params(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float).ravel()
+        if x.shape[0] != self.dimension:
+            raise DimensionMismatch(
+                f"expected {self.dimension} couplings, got {x.shape[0]}"
+            )
+        return x
+
+    def _inversion(self, exp: ExperimentSpec) -> Optional[np.ndarray]:
+        if exp.kind != IQLE:
+            return None
+        inv = np.asarray(exp.inversion, dtype=float).ravel()
+        if inv.shape[0] != self.dimension:
+            raise DimensionMismatch(
+                f"inversion has {inv.shape[0]} couplings, model has {self.dimension}"
+            )
+        return inv
 
     def outcome_distribution(self, x, exp: ExperimentSpec) -> np.ndarray:
         x = self._check_params(x)
@@ -436,11 +379,6 @@ def ising_energy(graph: InteractionGraph, x, z) -> float:
         bits = [(z >> k) & 1 for k in range(graph.n)]
     spins = [1.0 - 2.0 * b for b in bits]
     return float(sum(w * spins[i] * spins[j] for w, (i, j) in zip(x, graph.edges)))
-
-
-def ising_outcome_distribution(graph: InteractionGraph, x, exp: ExperimentSpec) -> np.ndarray:
-    """Fast-path outcome distribution for ad-hoc use; builds a model per call."""
-    return IsingModel(graph).outcome_distribution(x, exp)
 
 
 def _dense_energy_diagonal(graph: InteractionGraph, x: np.ndarray) -> np.ndarray:

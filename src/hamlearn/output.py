@@ -68,7 +68,6 @@ def write_trajectories_jsonl(path, trajectories: Sequence[LossTrajectory]) -> No
                     "resampled": record.resampled,
                     "t": record.time,
                     "sim_calls": record.sim_calls,
-                    "wall_clock": record.wall_clock,
                     "skipped": record.skipped,
                 }
                 pairs = ", ".join(

@@ -26,7 +26,7 @@ from .models import (
     IQLE,
     TWO_OUTCOME,
     ExperimentSpec,
-    LikelihoodModel,
+    IsingModel,
     bitflip_wrap,
     single_param_likelihood,
 )
@@ -263,6 +263,8 @@ def risk_scan(
         raise ValueError("t_grid must be nonempty")
     if strategy == "pgh" and rng is None:
         raise ValueError("the pgh strategy requires an rng")
+    if strategy == "pgh" and pgh_draws < 2:
+        raise ValueError("the pgh strategy needs at least 2 draws for its standard error")
 
     points: List[RiskPoint] = []
     for t in t_grid:
@@ -327,7 +329,7 @@ def trace_radius_inversion(
 
 
 def bayes_risk_nd(
-    model: LikelihoodModel,
+    model: IsingModel,
     cloud: ParticleCloud,
     exp: Union[ExperimentSpec, Callable[[np.random.Generator], ExperimentSpec]],
     alpha: float,

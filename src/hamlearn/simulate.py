@@ -2,8 +2,9 @@
 
 The untrusted system is played by `sample_outcome`, which draws real data at
 the hidden true couplings.  The trusted simulator is played by
-`LikelihoodEvaluator`, which scores hypotheses either exactly, through
-finite-sample frequency estimates, or through an exact value blurred by
+`LikelihoodEvaluator`, the one place likelihoods are estimated: it scores
+hypotheses exactly, by the frequency of the outcome among `n_samp` simulated
+shots (one binomial draw per particle), or by an exact value blurred by
 Gaussian noise (a cheap stand-in for finite-sample estimation).  The module
 also carries the sample-count sufficiency formulas used for cost reporting.
 """
@@ -16,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .models import LIKELIHOOD_FLOOR, ExperimentSpec, LikelihoodModel, noisy_likelihood
+from .models import LIKELIHOOD_FLOOR, ExperimentSpec, IsingModel, noisy_likelihood
 
 EXACT = "exact"
 SAMPLED = "sampled"
@@ -35,7 +36,7 @@ class LikelihoodEvaluator:
     passed straight to `bayes_update`.
     """
 
-    model: LikelihoodModel
+    model: IsingModel
     mode: str = EXACT
     n_samp: int = 1
     noise: float = 0.0
@@ -47,14 +48,6 @@ class LikelihoodEvaluator:
             raise ValueError("sampled mode needs n_samp >= 1")
         if self.mode == NOISY_EXACT and self.noise < 0:
             raise ValueError("noise standard deviation must be nonnegative")
-
-    @property
-    def dimension(self) -> int:
-        return self.model.dimension
-
-    @property
-    def box(self) -> np.ndarray:
-        return self.model.box
 
     def likelihood_many(
         self,
@@ -81,7 +74,7 @@ class LikelihoodEvaluator:
 
 
 def sample_outcome(
-    model: LikelihoodModel,
+    model: IsingModel,
     truth,
     exp: ExperimentSpec,
     rng: np.random.Generator,
@@ -90,27 +83,6 @@ def sample_outcome(
     dist = np.asarray(model.outcome_distribution(truth, exp), dtype=float)
     dist = np.clip(dist, 0.0, None)
     return int(rng.choice(dist.shape[0], p=dist / dist.sum()))
-
-
-def estimate_likelihood_sampled(
-    model: LikelihoodModel,
-    x,
-    exp: ExperimentSpec,
-    target: int,
-    n_samp: int,
-    rng: np.random.Generator,
-) -> float:
-    """Frequency of `target` among `n_samp` simulated shots, floored.
-
-    The count of a fixed outcome among n_samp independent shots is binomial
-    in the exact outcome probability, so it is drawn in one step rather than
-    by enumerating shots.  Unbiased before flooring.
-    """
-    if n_samp < 1:
-        raise ValueError("n_samp must be at least 1")
-    p = min(max(model.likelihood(target, x, exp), 0.0), 1.0)
-    count = int(rng.binomial(n_samp, p))
-    return max(count / n_samp, LIKELIHOOD_FLOOR)
 
 
 def required_samples(max_like: float, expected_like: float, epsilon: float) -> int:

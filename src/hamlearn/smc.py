@@ -22,11 +22,6 @@ WEIGHT_TOL = 1e-12
 _CHOICE_SUM_TOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
-class Particle(NamedTuple):
-    weight: float
-    position: np.ndarray
-
-
 @dataclass(frozen=True)
 class ParticleCloud:
     """Weighted set {(w_j, x_j)} of point hypotheses in parameter space.
@@ -73,9 +68,6 @@ class ParticleCloud:
     @property
     def dimension(self) -> int:
         return self.positions.shape[1]
-
-    def particle(self, j: int) -> Particle:
-        return Particle(float(self.weights[j]), self.positions[j])
 
 
 @dataclass(frozen=True)

@@ -24,11 +24,10 @@ from hamlearn.models import (
     ExperimentSpec,
     InteractionGraph,
     IsingModel,
-    SingleParameterModel,
     dense_oracle_distribution,
 )
 from hamlearn.risk import GaussianPrior1D, bayes_risk_1d, optimal_time, risk_envelope, risk_scan
-from hamlearn.simulate import estimate_likelihood_sampled, sample_outcome
+from hamlearn.simulate import LikelihoodEvaluator, sample_outcome
 from hamlearn.smc import (
     ParticleCloud,
     liu_west_resample,
@@ -276,12 +275,13 @@ def test_10_statistical_unit_suites():
 
     # sampled-likelihood error shrinks like 1/sqrt(n) (within factor 2)
     rng = np.random.default_rng(21003)
-    model = SingleParameterModel()
+    model = IsingModel(InteractionGraph.line(2))
     spec = ExperimentSpec(IQLE, math.pi / 2, [0.0], TWO_OUTCOME)
     maes = []
     for n_samp in (100, 10_000):
+        evaluator = LikelihoodEvaluator(model, "sampled", n_samp)
         errors = [
-            abs(estimate_likelihood_sampled(model, [0.5], spec, 0, n_samp, rng) - 0.5)
+            abs(evaluator.likelihood_many(0, [[0.5]], spec, rng=rng)[0] - 0.5)
             for _ in range(100)
         ]
         maes.append(np.mean(errors))

@@ -124,16 +124,17 @@ class TestCli:
         assert "median loss" in captured.out
 
     def test_learn_deterministic_output_bytes(self, tmp_path):
+        # A rerun of the same command rewrites all four files byte for byte
+        # (meta.json echoes the output directory, so both runs share it).
         config_path = write_config(tmp_path)
-        out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
-        assert main(["learn", "--config", config_path, "--out", out_a]) == 0
-        assert main(["learn", "--config", config_path, "--out", out_b]) == 0
-        for name in ("summary.csv", "fits.csv"):
-            with open(os.path.join(out_a, name), "rb") as fa:
-                bytes_a = fa.read()
-            with open(os.path.join(out_b, name), "rb") as fb:
-                bytes_b = fb.read()
-            assert bytes_a == bytes_b
+        out_dir = str(tmp_path / "results")
+        names = ("trajectories.jsonl", "summary.csv", "fits.csv", "meta.json")
+        runs = []
+        for _ in range(2):
+            assert main(["learn", "--config", config_path, "--out", out_dir]) == 0
+            runs.append({name: (tmp_path / "results" / name).read_bytes() for name in names})
+        for name in names:
+            assert runs[0][name] == runs[1][name], name
 
     def test_learn_trials_override(self, tmp_path):
         config_path = write_config(tmp_path)
@@ -141,6 +142,35 @@ class TestCli:
         assert main(["learn", "--config", config_path, "--out", out_dir, "--trials", "1"]) == 0
         with open(os.path.join(out_dir, "fits.csv")) as handle:
             assert len(handle.readlines()) == 2  # header + one trial
+
+    @pytest.mark.parametrize("command", ["learn", "scaling"])
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--trials", "0", "trials"),
+        ("--trials", "-3", "trials"),
+        ("--seed", "-1", "seed"),
+    ])
+    def test_overrides_pass_schema_checks(self, tmp_path, capsys, command, flag, value, field):
+        config_path = write_config(tmp_path)
+        out_dir = str(tmp_path / "results")
+        argv = [command, "--config", config_path, "--out", out_dir, flag, value]
+        if command == "scaling":
+            argv += ["--n", "2", "3"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+        assert not os.path.exists(out_dir)
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--strategy", "pgh", "--pgh-draws", "0"], "--pgh-draws"),
+        (["--strategy", "pgh", "--pgh-draws", "1"], "--pgh-draws"),
+        (["--points", "0"], "--points"),
+        (["--sigma", "0"], "--sigma"),
+        (["--alpha", "0.7"], "--alpha"),
+    ])
+    def test_risk_rejects_unservable_flags(self, tmp_path, capsys, flags, named):
+        out_dir = str(tmp_path / "risk")
+        assert main(["risk", "--out", out_dir] + flags) == 2
+        assert capsys.readouterr().err.startswith(f"error: {named}: ")
+        assert not os.path.exists(out_dir)
 
     def test_risk_scan_csv(self, tmp_path, capsys):
         out_dir = str(tmp_path / "risk")

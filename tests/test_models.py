@@ -18,12 +18,10 @@ from hamlearn.models import (
     ExperimentSpec,
     InteractionGraph,
     IsingModel,
-    SingleParameterModel,
     bitflip_wrap,
     dense_oracle_distribution,
     fwht,
     ising_energy,
-    ising_outcome_distribution,
     noisy_likelihood,
     single_param_likelihood,
 )
@@ -306,15 +304,6 @@ class TestDenseOracle:
         assert dist[2] == pytest.approx(0.0, abs=1e-12)
         assert dist[3] == pytest.approx(1 - expected0, abs=1e-12)
 
-    def test_standalone_distribution_helper(self):
-        graph = InteractionGraph.line(3)
-        x = [0.3, -0.1]
-        spec = ExperimentSpec(QLE, 4.2)
-        np.testing.assert_array_equal(
-            ising_outcome_distribution(graph, x, spec),
-            IsingModel(graph).outcome_distribution(x, spec),
-        )
-
     def test_line_vs_fast_path(self):
         rng = np.random.default_rng(8)
         graph = InteractionGraph.line(3)
@@ -339,13 +328,12 @@ class TestCrossModelConsistency:
     def test_single_param_equals_two_qubit_pair(self):
         rng = np.random.default_rng(9)
         pair = IsingModel(InteractionGraph(2, ((0, 1),)))
-        single = SingleParameterModel()
         for _ in range(50):
             x, x_inv = rng.uniform(-0.5, 0.5, 2)
             spec = ExperimentSpec(IQLE, rng.uniform(0.01, 50.0), [x_inv], TWO_OUTCOME)
             for outcome in (0, 1):
                 assert pair.likelihood(outcome, [x], spec) == pytest.approx(
-                    single.likelihood(outcome, [x], spec), abs=1e-12
+                    single_param_likelihood(outcome, x, x_inv, spec.time), abs=1e-12
                 )
 
 

@@ -5,7 +5,8 @@ object with `correct`, `attempted`, `failed` and `metrics`.  A reader that
 rejects NaN, Infinity and null values must accept it, and the metrics must
 be exactly those `BENCHMARK.json` declares.  The traced runs of `risk_scan`
 and `line6_noisy` between them reach every per-layer metric; a traced
-target that no longer resolves in the program would read null.
+target that no longer resolves in the program would read null.  Every
+gated workload's untraced run is checked as well.
 """
 
 import json
@@ -32,6 +33,8 @@ def _declared(kind):
     ("risk_scan", 1),
     ("line6_noisy", 1),
     ("risk_scan", 0),
+    ("complete4", 0),
+    ("line6_noisy", 0),
 ])
 def test_last_line_is_a_strict_result(workload, trace):
     command = [sys.executable, os.path.join(ROOT, "perfbench", "run.py"), "--workload", workload,

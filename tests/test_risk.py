@@ -262,6 +262,13 @@ class TestRiskScan:
         with pytest.raises(ValueError):
             risk_scan(GaussianPrior1D(0.0, 1.0), "none", [])
 
+    def test_pgh_needs_two_draws(self):
+        # One draw has no standard error; zero draws have no mean.
+        rng = np.random.default_rng(5)
+        for draws in (0, 1):
+            with pytest.raises(ValueError, match="at least 2 draws"):
+                risk_scan(GaussianPrior1D(0.5, 0.1), "pgh", [1.0], rng=rng, pgh_draws=draws)
+
 
 def gaussian_prior_cloud(rng, mu, sigma, size, dim):
     positions = rng.normal(mu, sigma, (size, dim))

@@ -12,12 +12,10 @@ from hamlearn.models import (
     ExperimentSpec,
     InteractionGraph,
     IsingModel,
-    SingleParameterModel,
 )
 from hamlearn.simulate import (
     LikelihoodEvaluator,
     SampleBudget,
-    estimate_likelihood_sampled,
     plan_budget,
     required_samples,
     sample_outcome,
@@ -65,41 +63,52 @@ class TestSampleOutcome:
             assert all(0 <= o < count for o in outcomes)
 
 
+def one_coupling_model():
+    """The one-coupling echo: the 2-qubit pair."""
+    return IsingModel(InteractionGraph.line(2))
+
+
+def sampled_estimate(model, x, spec, target, n_samp, rng):
+    """Frequency of `target` among `n_samp` simulated shots at coupling x."""
+    evaluator = LikelihoodEvaluator(model, "sampled", n_samp)
+    return float(evaluator.likelihood_many(target, [[x]], spec, rng=rng)[0])
+
+
 class TestEstimateLikelihoodSampled:
     def test_certain_outcome(self):
         rng = np.random.default_rng(4)
-        model = SingleParameterModel()
+        model = one_coupling_model()
         spec = ExperimentSpec(IQLE, 5.0, [0.2], TWO_OUTCOME)
         for n_samp in (1, 10, 1000):
-            assert estimate_likelihood_sampled(model, [0.2], spec, 0, n_samp, rng) == 1.0
+            assert sampled_estimate(model, 0.2, spec, 0, n_samp, rng) == 1.0
 
     def test_impossible_outcome_floored(self):
         rng = np.random.default_rng(5)
-        model = SingleParameterModel()
+        model = one_coupling_model()
         spec = ExperimentSpec(IQLE, 5.0, [0.2], TWO_OUTCOME)
-        assert estimate_likelihood_sampled(model, [0.2], spec, 1, 100, rng) == LIKELIHOOD_FLOOR
+        assert sampled_estimate(model, 0.2, spec, 1, 100, rng) == LIKELIHOOD_FLOOR
 
     def test_binomial_concentration(self):
         # p = 0.5, n_samp = 1e4: the estimate lands within 0.025 with
         # probability >= 0.999 (five binomial sigmas).
         rng = np.random.default_rng(6)
-        model = SingleParameterModel()
+        model = one_coupling_model()
         # 2 (x - x_inv) t = pi/2 gives p = 1/2 for both outcomes
         spec = ExperimentSpec(IQLE, np.pi / 2, [0.0], TWO_OUTCOME)
         for _ in range(20):
-            estimate = estimate_likelihood_sampled(model, [0.5], spec, 0, 10_000, rng)
+            estimate = sampled_estimate(model, 0.5, spec, 0, 10_000, rng)
             assert abs(estimate - 0.5) <= 0.025
 
     def test_error_shrinks_like_root_n(self):
         # Mean absolute error over 100 repeats should drop by about
         # sqrt(100) = 10 between n_samp = 1e2 and 1e4 (within a factor 2).
         rng = np.random.default_rng(7)
-        model = SingleParameterModel()
+        model = one_coupling_model()
         spec = ExperimentSpec(IQLE, np.pi / 2, [0.0], TWO_OUTCOME)
         maes = []
         for n_samp in (100, 10_000):
             errors = [
-                abs(estimate_likelihood_sampled(model, [0.5], spec, 0, n_samp, rng) - 0.5)
+                abs(sampled_estimate(model, 0.5, spec, 0, n_samp, rng) - 0.5)
                 for _ in range(100)
             ]
             maes.append(np.mean(errors))
@@ -121,7 +130,7 @@ class TestLikelihoodEvaluator:
 
     def test_sampled_mode_unbiased(self):
         rng = np.random.default_rng(9)
-        model = SingleParameterModel()
+        model = one_coupling_model()
         spec = ExperimentSpec(IQLE, np.pi / 2, [0.0], TWO_OUTCOME)
         evaluator = LikelihoodEvaluator(model, mode="sampled", n_samp=400)
         xs = np.full((2000, 1), 0.5)  # exact likelihood 0.5 each
@@ -130,14 +139,14 @@ class TestLikelihoodEvaluator:
 
     def test_noisy_mode_clips(self):
         rng = np.random.default_rng(10)
-        model = SingleParameterModel()
+        model = one_coupling_model()
         spec = ExperimentSpec(IQLE, 1.0, [0.3], TWO_OUTCOME)
         evaluator = LikelihoodEvaluator(model, mode="noisy_exact", noise=0.5)
         values = evaluator.likelihood_many(0, np.full((5000, 1), 0.3), spec, rng=rng)
         assert np.all(values <= 1.0) and np.all(values >= LIKELIHOOD_FLOOR)
 
     def test_stochastic_modes_require_rng(self):
-        model = SingleParameterModel()
+        model = one_coupling_model()
         spec = ExperimentSpec(QLE, 1.0)
         for evaluator in (
             LikelihoodEvaluator(model, mode="sampled", n_samp=10),
@@ -147,7 +156,7 @@ class TestLikelihoodEvaluator:
                 evaluator.likelihood_many(0, [[0.1]], spec)
 
     def test_calls_per_update(self):
-        model = SingleParameterModel()
+        model = one_coupling_model()
         assert LikelihoodEvaluator(model).calls_per_update(500) == 500
         assert LikelihoodEvaluator(model, mode="noisy_exact", noise=0.1).calls_per_update(500) == 500
         assert LikelihoodEvaluator(model, mode="sampled", n_samp=32).calls_per_update(500) == 16_000

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamlearn.errors import DimensionMismatch, ZeroTotalWeight
-from hamlearn.models import IQLE, TWO_OUTCOME, ExperimentSpec, SingleParameterModel
+from hamlearn.models import IQLE, TWO_OUTCOME, ExperimentSpec, InteractionGraph, IsingModel
 from hamlearn.smc import (
     ParticleCloud,
     bayes_update,
@@ -82,7 +82,7 @@ class TestBayesUpdate:
         )
         expected = weights * likes / np.sum(weights * likes)
 
-        model = SingleParameterModel()
+        model = IsingModel(InteractionGraph.line(2))
         spec = ExperimentSpec(IQLE, t, [x_inv], TWO_OUTCOME)
         update = bayes_update(ParticleCloud(positions, weights), outcome, spec, model)
         np.testing.assert_allclose(update.cloud.weights, expected, rtol=1e-12)
