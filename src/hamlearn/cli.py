@@ -64,6 +64,8 @@ def _check_risk_args(args) -> None:
         raise SchemaError(f"--alpha: must lie in [0, 0.5], got {args.alpha}")
     if args.points < 1:
         raise SchemaError(f"--points: must be at least 1, got {args.points}")
+    if args.t_max is not None and not (np.isfinite(args.t_max) and args.t_max > 0):
+        raise SchemaError(f"--t-max: must be positive and finite, got {args.t_max}")
     if args.strategy == "pgh" and args.pgh_draws < 2:
         raise SchemaError(
             f"--pgh-draws: the pgh strategy needs at least 2 draws, got {args.pgh_draws}"
@@ -98,8 +100,20 @@ def _cmd_risk(args) -> int:
     return 0
 
 
+def _check_scaling_sizes(config: RunConfig, sizes) -> None:
+    if len(sizes) < 2:
+        raise SchemaError(f"--n: need at least two system sizes, got {len(sizes)}")
+    for n in sizes:
+        # Each size passes the same schema checks as the config file's model.n.
+        try:
+            parse_config(emit_config(replace(config, model=replace(config.model, n=n))))
+        except SchemaError as exc:
+            raise SchemaError(f"--n: {exc}") from None
+
+
 def _cmd_scaling(args) -> int:
     config = _load_config(args)
+    _check_scaling_sizes(config, args.n)
     out_dir = config.out or "results"
     rows, results = scaling_study(config, args.n, threads=args.threads)
     os.makedirs(out_dir, exist_ok=True)

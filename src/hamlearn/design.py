@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateCloud
 from .models import CLE, EXPERIMENT_KINDS, FULL_BASIS, IQLE, MEASUREMENT_MODES, ExperimentSpec
-from .smc import ParticleCloud
+from .smc import ParticleCloud, weight_cdf
 
 
 @dataclass(frozen=True)
@@ -59,10 +59,12 @@ def pgh(cloud: ParticleCloud, cfg: PghConfig, rng: np.random.Generator) -> Exper
     """
     if np.all(cloud.positions == cloud.positions[0]):
         raise DegenerateCloud("all particles occupy one position")
-    first = cloud.positions[rng.choice(cloud.size, p=cloud.weights)]
+    # Each draw is rng.choice(size, p=weights), without re-summing the weights.
+    cdf = weight_cdf(cloud.weights)
+    first = cloud.positions[cdf.searchsorted(rng.random(), side="right")]
     distance = 0.0
     for _ in range(cfg.max_redraws):
-        second = cloud.positions[rng.choice(cloud.size, p=cloud.weights)]
+        second = cloud.positions[cdf.searchsorted(rng.random(), side="right")]
         distance = float(np.linalg.norm(second - first))
         if distance >= cfg.min_separation:
             break

@@ -242,6 +242,20 @@ def liu_west_resample(
     return ParticleCloud(parents, uniform)
 
 
+def weight_cdf(weights: np.ndarray) -> np.ndarray:
+    """Normalized cumulative sum of `weights`, as ``Generator.choice`` builds it.
+
+    ``weight_cdf(w).searchsorted(rng.random(), side="right")`` is then the
+    draw of ``rng.choice(n, p=w)``.  Raises ValueError, as choice does, when
+    the weights do not sum to one.
+    """
+    cdf = np.cumsum(weights)
+    if abs(cdf[-1] - 1.0) > _CHOICE_SUM_TOL:
+        raise ValueError("probabilities do not sum to 1")
+    cdf /= cdf[-1]
+    return cdf
+
+
 def _draw_parents(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Multinomial parent indices: the draws of ``rng.choice(n, n, p=weights)``.
 
@@ -249,10 +263,7 @@ def _draw_parents(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     in sorted order, which keeps the binary searches cache-friendly; the
     results are scattered back to draw order.
     """
-    cdf = np.cumsum(weights)
-    if abs(cdf[-1] - 1.0) > _CHOICE_SUM_TOL:
-        raise ValueError("probabilities do not sum to 1")
-    cdf /= cdf[-1]
+    cdf = weight_cdf(weights)
     uniforms = rng.random(weights.shape[0])
     order = np.argsort(uniforms)
     picks = np.empty(weights.shape[0], dtype=np.intp)

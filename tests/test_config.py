@@ -172,6 +172,28 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"error: {named}: ")
         assert not os.path.exists(out_dir)
 
+    @pytest.mark.parametrize("value", ["-1", "0", "inf", "nan"])
+    def test_risk_rejects_unservable_t_max(self, tmp_path, capsys, value):
+        out_dir = str(tmp_path / "risk")
+        assert main(["risk", "--out", out_dir, "--t-max", value]) == 2
+        assert capsys.readouterr().err.startswith("error: --t-max: ")
+        assert not os.path.exists(out_dir)
+
+    @pytest.mark.parametrize("sizes", [["1", "2"], ["3", "0"]])
+    def test_scaling_sizes_pass_schema_checks(self, tmp_path, capsys, sizes):
+        config_path = write_config(tmp_path)
+        out_dir = str(tmp_path / "results")
+        assert main(["scaling", "--config", config_path, "--out", out_dir, "--n"] + sizes) == 2
+        assert capsys.readouterr().err.startswith("error: --n: model.n: ")
+        assert not os.path.exists(out_dir)
+
+    def test_scaling_needs_two_sizes(self, tmp_path, capsys):
+        config_path = write_config(tmp_path)
+        out_dir = str(tmp_path / "results")
+        assert main(["scaling", "--config", config_path, "--out", out_dir, "--n", "5"]) == 2
+        assert capsys.readouterr().err.startswith("error: --n: ")
+        assert not os.path.exists(out_dir)
+
     def test_risk_scan_csv(self, tmp_path, capsys):
         out_dir = str(tmp_path / "risk")
         assert main([

@@ -36,6 +36,36 @@ class TestPgh:
         with pytest.raises(DegenerateCloud):
             pgh(cloud, PghConfig(max_redraws=50), np.random.default_rng(2))
 
+    def test_draws_match_choice(self):
+        # Every draw, redraws included, is the one rng.choice(n, p=w) makes,
+        # and the generator is left in the same state.
+        rng = np.random.default_rng(9)
+        concentrated = np.full(400, 1e-3)
+        concentrated[17] = 1.0
+        sparse = np.zeros(300)
+        sparse[rng.choice(300, 5, replace=False)] = rng.uniform(size=5)
+        for weights in (np.full(200, 1.0), rng.uniform(size=1000),
+                        rng.dirichlet(np.full(2000, 0.05)), concentrated, sparse):
+            weights = weights / weights.sum()
+            n = weights.size
+            cloud = ParticleCloud(np.sqrt(np.arange(n, dtype=float)), weights)
+            for seed in range(20):
+                ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+                spec = pgh(cloud, PghConfig(), ours)
+                first = reference.choice(n, p=cloud.weights)
+                second = reference.choice(n, p=cloud.weights)
+                while second == first:
+                    second = reference.choice(n, p=cloud.weights)
+                assert spec.inversion[0] == cloud.positions[first, 0]
+                distance = abs(cloud.positions[second, 0] - cloud.positions[first, 0])
+                assert spec.time == 1.0 / distance
+                assert ours.random() == reference.random()
+
+    def test_unnormalized_weights_rejected(self):
+        cloud = ParticleCloud([[0.0], [1.0]], [0.5, 0.6])
+        with pytest.raises(ValueError):
+            pgh(cloud, PghConfig(), np.random.default_rng(3))
+
     def test_inversion_dropped_for_cle_qle(self):
         cloud = ParticleCloud([[0.0], [0.5]], [0.5, 0.5])
         rng = np.random.default_rng(3)

@@ -37,6 +37,18 @@ ORACLE_GRAPHS = {
 FOREST5_COMPONENTS = (0b00011, 0b01100, 0b10000)
 
 
+def assert_kernel_matches_oracle(model, xs, t):
+    """Every outcome of both measurements, for CLE and for IQLE with a zero
+    inversion (so that the couplings reach the kernel unchanged)."""
+    for kind, inversion in ((CLE, None), (IQLE, np.zeros(model.dimension))):
+        for measurement in (FULL_BASIS, TWO_OUTCOME):
+            spec = ExperimentSpec(kind, t, inversion, measurement)
+            oracle = np.array([dense_oracle_distribution(model.graph, x, spec) for x in xs])
+            for outcome in range(model.outcome_count(spec)):
+                np.testing.assert_allclose(model.likelihood_many(outcome, xs, spec),
+                                           oracle[:, outcome], rtol=0, atol=1e-12)
+
+
 class TestInteractionGraph:
     def test_complete_edge_count(self):
         for n in (2, 3, 5, 8):
@@ -245,6 +257,51 @@ class TestIsingModel:
         for outcome in range(2**graph.n):
             np.testing.assert_allclose(model.likelihood_many(outcome, xs, spec),
                                        oracle[:, outcome], rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("name", ["line4", "star5", "forest5"])
+    def test_forest_kernel_at_tan_pole(self, name):
+        # The forest kernel takes tan(delta_e t), which has a pole where
+        # delta_e t = pi/2; the doubled times put the pole at 2 * (pi/4) and
+        # 3 * (pi/2), and t = 0 sits at tan's zero.
+        graph = ORACLE_GRAPHS[name]
+        model = IsingModel(graph)
+        rng = np.random.default_rng(15)
+        for t, pole in ((1.0, np.pi / 2), (2.0, np.pi / 4), (3.0, np.pi / 2), (0.0, np.pi / 2)):
+            xs = rng.uniform(-0.5, 0.5, (3, graph.dimension))
+            xs[0, 0] = pole
+            xs[1, -1] = -pole
+            xs[2, :] = pole
+            assert_kernel_matches_oracle(model, xs, t)
+
+    @pytest.mark.parametrize("name", ["complete3", "complete4", "cycle5"])
+    def test_half_table_kernel_at_tan_pole(self, name):
+        # The half table takes tan(phi/2), which has a pole where phi = pi:
+        # every phase is +-pi in the first row, and pi, 0 or -pi in the second.
+        graph = ORACLE_GRAPHS[name]
+        model = IsingModel(graph)
+        rng = np.random.default_rng(16)
+        for t in (1.0, 0.0):
+            xs = rng.uniform(-0.5, 0.5, (4, graph.dimension))
+            xs[0, :] = 0.0
+            xs[0, 0] = np.pi
+            xs[1, :] = 0.0
+            xs[1, :2] = np.pi / 2
+            xs[2, :] = np.pi / 2
+            assert_kernel_matches_oracle(model, xs, t)
+
+    @given(st.integers(2, 6), st.data(), st.floats(0.0, 1e6))
+    @settings(max_examples=60, deadline=None)
+    def test_full_basis_likelihoods_sum_to_one(self, n, data, t):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+        graph = InteractionGraph(n, tuple(sorted(edges)))
+        model = IsingModel(graph)
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        xs = rng.uniform(-0.5, 0.5, (5, graph.dimension))
+        spec = ExperimentSpec(IQLE, t, rng.uniform(-0.5, 0.5, graph.dimension))
+        total = sum(model.likelihood_many(d, xs, spec) for d in range(2**n))
+        np.testing.assert_allclose(total, 1.0, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("delta", [1e-9, 1e-6])
     def test_two_outcome_complement_without_cancellation(self, delta):
