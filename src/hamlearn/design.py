@@ -9,12 +9,11 @@ posterior sharpens.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import DegenerateCloud
-from .models import CLE, EXPERIMENT_KINDS, FULL_BASIS, IQLE, MEASUREMENT_MODES, ExperimentSpec
+from .models import EXPERIMENT_KINDS, FULL_BASIS, IQLE, MEASUREMENT_MODES, ExperimentSpec
 from .smc import ParticleCloud, weight_cdf
 
 
@@ -75,16 +74,3 @@ def pgh(cloud: ParticleCloud, cfg: PghConfig, rng: np.random.Generator) -> Exper
     time = min(cfg.t_max, 1.0 / distance)
     inversion = first if cfg.kind == IQLE else None
     return ExperimentSpec(cfg.kind, time, inversion, cfg.measurement)
-
-
-def fixed_schedule(
-    times: Iterable[float],
-    kind: str = CLE,
-    inversion=None,
-    measurement: str = FULL_BASIS,
-) -> Iterator[ExperimentSpec]:
-    """Deterministic stream of experiments at the given times."""
-    for t in times:
-        if not t > 0:
-            raise ValueError("schedule times must be positive")
-        yield ExperimentSpec(kind, float(t), inversion, measurement)

@@ -40,7 +40,7 @@ MEASUREMENT_MODES = (FULL_BASIS, TWO_OUTCOME)
 LIKELIHOOD_FLOOR = 1e-300
 
 # O(n * 2^n) per distribution; beyond this the fast path stops being "fast".
-DEFAULT_QUBIT_CAP = 14
+QUBIT_CAP = 14
 ORACLE_QUBIT_CAP = 6
 
 DEFAULT_BOX = (-0.5, 0.5)
@@ -230,10 +230,9 @@ class IsingModel:
     `LikelihoodEvaluator` share one calling convention.
     """
 
-    def __init__(self, graph: InteractionGraph, box=DEFAULT_BOX,
-                 max_qubits: int = DEFAULT_QUBIT_CAP):
-        if graph.n > max_qubits:
-            raise TooManyQubits(f"{graph.n} qubits exceeds cap {max_qubits}")
+    def __init__(self, graph: InteractionGraph, box=DEFAULT_BOX):
+        if graph.n > QUBIT_CAP:
+            raise TooManyQubits(f"{graph.n} qubits exceeds cap {QUBIT_CAP}")
         self.graph = graph
         self.dimension = graph.dimension
         self.box = _as_box(box, self.dimension)
@@ -380,30 +379,6 @@ class IsingModel:
         return np.clip(out, LIKELIHOOD_FLOOR, 1.0)
 
 
-def ising_energy(graph: InteractionGraph, x, z) -> float:
-    """Energy of a spin configuration: sum over edges of x_ij s_i s_j.
-
-    `z` is either a bitstring like "0110" (character k is qubit k) or an
-    integer state index whose bit k is qubit k; spin s_k = (-1)^{z_k}.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape[0] != graph.dimension:
-        raise DimensionMismatch(
-            f"expected {graph.dimension} couplings, got {x.shape[0]}"
-        )
-    if isinstance(z, str):
-        if len(z) != graph.n or any(c not in "01" for c in z):
-            raise DimensionMismatch(f"bitstring {z!r} is not {graph.n} bits")
-        bits = [int(c) for c in z]
-    else:
-        z = int(z)
-        if not 0 <= z < 2**graph.n:
-            raise DimensionMismatch(f"state index {z} outside [0, 2^{graph.n})")
-        bits = [(z >> k) & 1 for k in range(graph.n)]
-    spins = [1.0 - 2.0 * b for b in bits]
-    return float(sum(w * spins[i] * spins[j] for w, (i, j) in zip(x, graph.edges)))
-
-
 def _dense_energy_diagonal(graph: InteractionGraph, x: np.ndarray) -> np.ndarray:
     """Diagonal of H(x) assembled from Kronecker products of Z factors."""
     z_diag = np.array([1.0, -1.0])
@@ -457,24 +432,6 @@ def bitflip_wrap(alpha: float, p):
     if not 0.0 <= alpha <= 0.5:
         raise ValueError("bit-flip rate must lie in [0, 0.5]")
     out = alpha + (1.0 - 2.0 * alpha) * np.asarray(p, dtype=float)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def noisy_likelihood(p, noise: float, rng: np.random.Generator):
-    """Perturb likelihood(s) with zero-mean Gaussian noise of s.d. `noise`.
-
-    The result is clipped to [0, 1] and then floored, mimicking the spread of
-    a finite-sample likelihood estimate.
-    """
-    if noise < 0:
-        raise ValueError("noise standard deviation must be nonnegative")
-    p = np.asarray(p, dtype=float)
-    if noise > 0:
-        p = p + rng.normal(0.0, noise, size=p.shape)
-    out = np.clip(p, 0.0, 1.0)
-    out = np.clip(out, LIKELIHOOD_FLOOR, 1.0)
     if out.ndim == 0:
         return float(out)
     return out

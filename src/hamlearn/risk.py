@@ -1,4 +1,4 @@
-"""Analytic and Monte Carlo expected-loss analysis for echo experiments.
+"""Analytic expected-loss analysis for echo experiments.
 
 For the one-coupling model with a Gaussian prior, the posterior mean and the
 expected posterior variance (the average-case loss of the optimal
@@ -7,8 +7,7 @@ cosine.  Adaptive quadrature of the same moments is kept as the independent
 reference the closed forms are checked against.  The risk as
 a function of evolution time is pinched between sigma^2 and the envelope
 sigma^2 (1 - 4 sigma^2 t^2 exp(-4 sigma^2 t^2)), whose minimum sits at
-t = 1/(2 sigma) with value (1 - 1/e) sigma^2.  Small multi-coupling problems
-are handled by Monte Carlo over a particle-cloud prior.
+t = 1/(2 sigma) with value (1 - 1/e) sigma^2.
 """
 
 from __future__ import annotations
@@ -21,16 +20,8 @@ from typing import Callable, List, Optional, Sequence, Union
 import numpy as np
 from scipy import integrate
 
-from .errors import QuadratureFailure, ZeroTotalWeight
-from .models import (
-    IQLE,
-    TWO_OUTCOME,
-    ExperimentSpec,
-    IsingModel,
-    bitflip_wrap,
-    single_param_likelihood,
-)
-from .smc import ParticleCloud, bayes_update, posterior_covariance, posterior_mean
+from .errors import QuadratureFailure
+from .models import bitflip_wrap, single_param_likelihood
 
 # Quadrature covers mu +/- 10 sigma; the Gaussian tail beyond that is ~1e-23.
 _QUAD_HALF_WIDTH = 10.0
@@ -294,80 +285,3 @@ def risk_scan(
             raise ValueError(f"unknown strategy {strategy!r}")
         points.append(RiskPoint(x_inv, t, alpha, bayes_risk_1d(prior, x_inv, t, alpha)))
     return points
-
-
-@dataclass(frozen=True)
-class MonteCarloRisk:
-    """Monte Carlo risk estimate with its standard error and rejection count."""
-
-    mean: float
-    stderr: float
-    n_used: int
-    n_rejected: int
-
-
-def trace_radius_inversion(
-    cloud: ParticleCloud,
-    time: float,
-    rng: np.random.Generator,
-    measurement: str = TWO_OUTCOME,
-) -> ExperimentSpec:
-    """Inversion offset from the cloud mean by sqrt(trace covariance).
-
-    The offset direction is drawn uniformly at random on the sphere, since
-    only the offset's length is pinned down by the strategy.
-    """
-    mean = posterior_mean(cloud)
-    radius = math.sqrt(max(float(np.trace(posterior_covariance(cloud))), 0.0))
-    direction = rng.standard_normal(cloud.dimension)
-    norm = float(np.linalg.norm(direction))
-    if norm == 0.0:
-        direction = np.zeros(cloud.dimension)
-        direction[0] = 1.0
-        norm = 1.0
-    return ExperimentSpec(IQLE, time, mean + radius * direction / norm, measurement)
-
-
-def bayes_risk_nd(
-    model: IsingModel,
-    cloud: ParticleCloud,
-    exp: Union[ExperimentSpec, Callable[[np.random.Generator], ExperimentSpec]],
-    alpha: float,
-    n_mc: int,
-    rng: np.random.Generator,
-) -> MonteCarloRisk:
-    """Monte Carlo expected posterior trace-covariance after one experiment.
-
-    Each draw samples a true coupling vector from the cloud, draws a datum
-    from the (optionally bit-flipped) data distribution, updates a copy of
-    the cloud with the noiseless model, and records the posterior covariance
-    trace.  `exp` may be a fixed experiment or a callable producing one per
-    draw (for randomized inversion strategies).  Updates rejected for zero
-    total weight are counted and excluded from the mean.
-    """
-    if n_mc < 1:
-        raise ValueError("n_mc must be at least 1")
-    if not 0.0 <= alpha <= 0.5:
-        raise ValueError("bit-flip rate must lie in [0, 0.5]")
-    traces = []
-    rejected = 0
-    for _ in range(n_mc):
-        spec = exp(rng) if callable(exp) else exp
-        if alpha > 0 and spec.measurement != TWO_OUTCOME:
-            raise ValueError("bit-flip noise is defined for two-outcome experiments")
-        truth = cloud.positions[rng.choice(cloud.size, p=cloud.weights)]
-        dist = np.asarray(model.outcome_distribution(truth, spec), dtype=float)
-        datum = int(rng.choice(dist.shape[0], p=np.clip(dist, 0, None) / dist.sum()))
-        if alpha > 0 and rng.random() < alpha:
-            datum = 1 - datum
-        try:
-            update = bayes_update(cloud, datum, spec, model)
-        except ZeroTotalWeight:
-            rejected += 1
-            continue
-        traces.append(float(np.trace(posterior_covariance(update.cloud))))
-    if not traces:
-        raise ZeroTotalWeight("every Monte Carlo update was rejected")
-    traces = np.asarray(traces)
-    stderr = float(np.std(traces, ddof=1) / math.sqrt(traces.size)) if traces.size > 1 else 0.0
-    return MonteCarloRisk(float(np.mean(traces)), stderr, traces.size, rejected)

@@ -5,19 +5,17 @@ the hidden true couplings.  The trusted simulator is played by
 `LikelihoodEvaluator`, the one place likelihoods are estimated: it scores
 hypotheses exactly, by the frequency of the outcome among `n_samp` simulated
 shots (one binomial draw per particle), or by an exact value blurred by
-Gaussian noise (a cheap stand-in for finite-sample estimation).  The module
-also carries the sample-count sufficiency formulas used for cost reporting.
+Gaussian noise (a cheap stand-in for finite-sample estimation).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .models import LIKELIHOOD_FLOOR, ExperimentSpec, IsingModel, noisy_likelihood
+from .models import LIKELIHOOD_FLOOR, ExperimentSpec, IsingModel
 
 EXACT = "exact"
 SAMPLED = "sampled"
@@ -64,7 +62,10 @@ class LikelihoodEvaluator:
         if self.mode == SAMPLED:
             counts = rng.binomial(self.n_samp, np.clip(exact, 0.0, 1.0))
             return np.clip(counts / self.n_samp, LIKELIHOOD_FLOOR, 1.0)
-        return np.asarray(noisy_likelihood(exact, self.noise, rng))
+        noisy = exact
+        if self.noise > 0:
+            noisy = exact + rng.normal(0.0, self.noise, size=exact.shape)
+        return np.clip(noisy, LIKELIHOOD_FLOOR, 1.0)
 
     def calls_per_update(self, n_particles: int) -> int:
         """Simulator invocations consumed by one weight update."""
@@ -83,49 +84,3 @@ def sample_outcome(
     dist = np.asarray(model.outcome_distribution(truth, exp), dtype=float)
     dist = np.clip(dist, 0.0, None)
     return int(rng.choice(dist.shape[0], p=dist / dist.sum()))
-
-
-def required_samples(max_like: float, expected_like: float, epsilon: float) -> int:
-    """Shots per particle sufficient for a 1-norm update error of epsilon.
-
-    Evaluates ceil(max_like (1 - max_like) / (epsilon * expected_like)^2),
-    the asymptotic sufficiency bound with its constant set to 1.  Advisory:
-    used for cost reporting, never enforced.
-    """
-    if not 0.0 <= max_like <= 1.0:
-        raise ValueError("max_like must lie in [0, 1]")
-    if not 0.0 < expected_like <= 1.0:
-        raise ValueError("expected_like must lie in (0, 1]")
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    variance = max_like * (1.0 - max_like)
-    if variance == 0.0:
-        return 0
-    return int(math.ceil(variance / (epsilon * expected_like) ** 2))
-
-
-@dataclass(frozen=True)
-class SampleBudget:
-    """Per-update sampling plan: shots per particle and total simulations."""
-
-    epsilon: float
-    n_samp_per_particle: int
-    n_sim_total: int
-
-    def __post_init__(self):
-        if self.epsilon <= 0 or self.n_samp_per_particle <= 0 or self.n_sim_total <= 0:
-            raise ValueError("budget entries must be positive")
-
-
-def plan_budget(
-    max_like: float, expected_like: float, epsilon: float, n_particles: int
-) -> SampleBudget:
-    """Sampling budget for one update over `n_particles` hypotheses.
-
-    At least one shot per particle is always planned, even when the
-    sufficiency bound is zero (deterministic outcome).
-    """
-    if n_particles < 1:
-        raise ValueError("n_particles must be at least 1")
-    per_particle = max(1, required_samples(max_like, expected_like, epsilon))
-    return SampleBudget(epsilon, per_particle, per_particle * n_particles)

@@ -15,8 +15,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, ZeroTotalWeight
 
-# |sum(weights) - 1| stays below this after every public operation.
-WEIGHT_TOL = 1e-12
 # Resampling rejects weights further than this from summing to one, as
 # numpy's Generator.choice does.
 _CHOICE_SUM_TOL = float(np.sqrt(np.finfo(np.float64).eps))
@@ -33,7 +31,9 @@ class ParticleCloud:
         treated as a single-coupling cloud of shape (size, 1).
     weights : ndarray, shape (size,)
         Nonnegative probability masses.  The constructor does not require
-        them to sum to one; public operations return normalized clouds.
+        them to sum to one; public operations return normalized clouds,
+        whose weights sum to one within 1e-12, also after 200 successive
+        updates with likelihoods down to `models.LIKELIHOOD_FLOOR`.
     """
 
     positions: np.ndarray
@@ -70,41 +70,6 @@ class ParticleCloud:
         return self.positions.shape[1]
 
 
-@dataclass(frozen=True)
-class CredibleEllipse:
-    """Ellipsoidal credible region under a Gaussian posterior approximation.
-
-    Membership is `(x - center)^T precision (x - center) <= radius2`, with
-    `precision` the (regularized) inverse posterior covariance and `radius2`
-    a chi-square quantile for the cloud dimension.
-    """
-
-    center: np.ndarray
-    precision: np.ndarray
-    radius2: float
-
-    def __post_init__(self):
-        center = np.asarray(self.center, dtype=float).ravel()
-        precision = np.asarray(self.precision, dtype=float)
-        d = center.shape[0]
-        if precision.shape != (d, d):
-            raise DimensionMismatch(
-                f"precision shape {precision.shape} does not match dimension {d}"
-            )
-        if self.radius2 <= 0:
-            raise ValueError("radius2 must be positive")
-        center = center.copy()
-        precision = precision.copy()
-        center.setflags(write=False)
-        precision.setflags(write=False)
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "precision", precision)
-
-    @property
-    def dimension(self) -> int:
-        return self.center.shape[0]
-
-
 class BayesUpdate(NamedTuple):
     cloud: ParticleCloud
     ess: float
@@ -120,14 +85,6 @@ def uniform_cloud(box, size: int, rng: np.random.Generator) -> ParticleCloud:
         raise ValueError("size must be at least 1")
     positions = rng.uniform(box[:, 0], box[:, 1], size=(size, box.shape[0]))
     return ParticleCloud(positions, np.full(size, 1.0 / size))
-
-
-def normalize_weights(cloud: ParticleCloud) -> ParticleCloud:
-    """Rescale weights to unit total mass; positions are untouched."""
-    total = float(np.sum(cloud.weights))
-    if total <= 0.0:
-        raise ZeroTotalWeight("all particle weights are zero")
-    return ParticleCloud(cloud.positions, cloud.weights / total)
 
 
 def bayes_update(
@@ -196,8 +153,8 @@ def quadratic_loss(estimate, truth) -> float:
 
 
 def _regularization_eps(cov: np.ndarray) -> float:
-    # Late-stage clouds collapse; a trace-scaled floor keeps Cholesky and
-    # inversion well defined without visibly perturbing healthy covariances.
+    # Late-stage clouds collapse; a trace-scaled floor keeps the Cholesky
+    # factor well defined without visibly perturbing healthy covariances.
     d = cov.shape[0]
     return 1e-12 * max(1.0, float(np.trace(cov)) / d)
 
@@ -269,36 +226,3 @@ def _draw_parents(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     picks = np.empty(weights.shape[0], dtype=np.intp)
     picks[order] = np.searchsorted(cdf, uniforms[order], side="right")
     return picks
-
-
-def credible_region(cloud: ParticleCloud, alpha: float) -> CredibleEllipse:
-    """Covariance ellipse around the posterior mean.
-
-    `alpha` is passed straight through as the chi-square quantile level:
-    ``radius2 = chi2.ppf(alpha, d)``.  Under the Gaussian approximation the
-    ellipse then captures a fraction `alpha` of the posterior mass, so a
-    region leaving at most mass `q` outside is requested with ``alpha = 1 - q``.
-    The quantile level is exposed explicitly because both conventions appear
-    in the literature.
-    """
-    from scipy import stats  # deferred: costs about a second to import
-
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
-    cov = posterior_covariance(cloud)
-    d = cloud.dimension
-    precision = np.linalg.inv(cov + _regularization_eps(cov) * np.eye(d))
-    precision = 0.5 * (precision + precision.T)
-    radius2 = float(stats.chi2.ppf(alpha, df=d))
-    return CredibleEllipse(posterior_mean(cloud), precision, radius2)
-
-
-def region_contains(ellipse: CredibleEllipse, x) -> bool:
-    """Membership test; the boundary is inclusive."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape[0] != ellipse.dimension:
-        raise DimensionMismatch(
-            f"point has dimension {x.shape[0]}, ellipse {ellipse.dimension}"
-        )
-    offset = x - ellipse.center
-    return float(offset @ ellipse.precision @ offset) <= ellipse.radius2

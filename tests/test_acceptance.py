@@ -31,7 +31,6 @@ from hamlearn.simulate import LikelihoodEvaluator, sample_outcome
 from hamlearn.smc import (
     ParticleCloud,
     liu_west_resample,
-    normalize_weights,
     posterior_covariance,
     posterior_mean,
 )
@@ -249,7 +248,8 @@ def test_10_statistical_unit_suites():
     rng = np.random.default_rng(21001)
     size = 100_000
     positions = rng.multivariate_normal([0.5, -1.0], [[0.8, 0.2], [0.2, 0.4]], size)
-    cloud = normalize_weights(ParticleCloud(positions, rng.uniform(0.5, 1.5, size)))
+    weights = rng.uniform(0.5, 1.5, size)
+    cloud = ParticleCloud(positions, weights / weights.sum())
     mean, cov = posterior_mean(cloud), posterior_covariance(cloud)
     resampled = liu_west_resample(cloud, a=0.9, rng=rng)
     mean_ok = np.all(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hamlearn.design import PghConfig, fixed_schedule, pgh
+from hamlearn.design import PghConfig, pgh
 from hamlearn.errors import DegenerateCloud
 from hamlearn.models import CLE, IQLE, QLE
 from hamlearn.smc import ParticleCloud
@@ -126,23 +126,3 @@ class TestPgh:
             medians.append(np.median(times))
         ratio = medians[1] / medians[0]
         assert 8.0 < ratio < 12.0
-
-
-class TestFixedSchedule:
-    def test_times_in_order(self):
-        specs = list(fixed_schedule([1.0, 2.0, 3.0], kind=CLE))
-        assert [s.time for s in specs] == [1.0, 2.0, 3.0]
-        assert all(s.kind == CLE for s in specs)
-
-    def test_empty(self):
-        assert list(fixed_schedule([], kind=QLE)) == []
-
-    def test_geometric_schedule(self):
-        times = [1.1**k for k in range(12)]
-        specs = list(fixed_schedule(times, kind=CLE))
-        for k, spec in enumerate(specs):
-            assert spec.time == pytest.approx(1.1**k)
-
-    def test_rejects_nonpositive_times(self):
-        with pytest.raises(ValueError):
-            list(fixed_schedule([1.0, 0.0], kind=CLE))

@@ -21,8 +21,6 @@ from hamlearn.models import (
     bitflip_wrap,
     dense_oracle_distribution,
     fwht,
-    ising_energy,
-    noisy_likelihood,
     single_param_likelihood,
 )
 
@@ -99,33 +97,6 @@ class TestSingleParamLikelihood:
     def test_outcomes_sum_to_one(self, x, x_inv, t):
         total = single_param_likelihood(0, x, x_inv, t) + single_param_likelihood(1, x, x_inv, t)
         assert total == pytest.approx(1.0, abs=1e-15)
-
-
-class TestIsingEnergy:
-    def test_all_up_sums_couplings(self):
-        graph = InteractionGraph.complete(4)
-        x = np.arange(1.0, 7.0)
-        assert ising_energy(graph, x, "0000") == pytest.approx(x.sum())
-
-    def test_opposite_spins_single_edge(self):
-        graph = InteractionGraph(2, ((0, 1),))
-        assert ising_energy(graph, [0.5], "01") == pytest.approx(-0.5)
-
-    def test_matches_dense_diagonal(self):
-        from hamlearn.models import _dense_energy_diagonal
-
-        rng = np.random.default_rng(0)
-        graph = InteractionGraph.complete(4)
-        x = rng.uniform(-0.5, 0.5, graph.dimension)
-        diagonal = _dense_energy_diagonal(graph, x)
-        for z in range(16):
-            assert ising_energy(graph, x, z) == pytest.approx(diagonal[z], abs=1e-12)
-
-    def test_string_and_int_agree(self):
-        graph = InteractionGraph.line(3)
-        x = [0.2, -0.4]
-        # "011" -> qubit0=0, qubit1=1, qubit2=1 -> int with bit k = qubit k
-        assert ising_energy(graph, x, "011") == ising_energy(graph, x, 0b110)
 
 
 class TestFwht:
@@ -333,8 +304,6 @@ class TestIsingModel:
     def test_qubit_cap(self):
         with pytest.raises(TooManyQubits):
             IsingModel(InteractionGraph.line(15))
-        with pytest.raises(TooManyQubits):
-            IsingModel(InteractionGraph.line(5), max_qubits=4)
 
     def test_wrong_dimension_rejected(self):
         model = IsingModel(InteractionGraph.line(3))
@@ -419,22 +388,3 @@ class TestBitflipWrap:
     def test_range(self, alpha, p):
         wrapped = bitflip_wrap(alpha, p)
         assert alpha - 1e-12 <= wrapped <= 1 - alpha + 1e-12
-
-
-class TestNoisyLikelihood:
-    def test_zero_noise_identity(self):
-        rng = np.random.default_rng(10)
-        assert noisy_likelihood(0.37, 0.0, rng) == 0.37
-
-    def test_center_unbiased(self):
-        # With p = 0.5 clipping is negligible: the sample mean of 1e6 draws
-        # must land within 5 standard errors of p.
-        rng = np.random.default_rng(11)
-        draws = noisy_likelihood(np.full(1_000_000, 0.5), 0.1, rng)
-        assert abs(draws.mean() - 0.5) < 5e-4
-
-    def test_clipping_at_one(self):
-        rng = np.random.default_rng(12)
-        draws = noisy_likelihood(np.ones(10_000), 0.1, rng)
-        assert np.all(draws <= 1.0)
-        assert np.all(draws >= LIKELIHOOD_FLOOR)

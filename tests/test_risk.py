@@ -5,20 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from hamlearn.models import TWO_OUTCOME, ExperimentSpec, InteractionGraph, IsingModel
 from hamlearn.risk import (
     GaussianPrior1D,
     bayes_risk_1d,
-    bayes_risk_nd,
     optimal_time,
     posterior_mean_1d,
     quadrature_bayes_risk_1d,
     quadrature_posterior_mean_1d,
     risk_envelope,
     risk_scan,
-    trace_radius_inversion,
 )
-from hamlearn.smc import ParticleCloud, posterior_covariance
 
 
 def monte_carlo_risk_1d(prior, x_inv, t, alpha, n_draws, rng, n_batches=100):
@@ -268,60 +264,3 @@ class TestRiskScan:
         for draws in (0, 1):
             with pytest.raises(ValueError, match="at least 2 draws"):
                 risk_scan(GaussianPrior1D(0.5, 0.1), "pgh", [1.0], rng=rng, pgh_draws=draws)
-
-
-def gaussian_prior_cloud(rng, mu, sigma, size, dim):
-    positions = rng.normal(mu, sigma, (size, dim))
-    return ParticleCloud(positions, np.full(size, 1.0 / size))
-
-
-class TestBayesRiskNd:
-    def test_zero_time_keeps_prior_trace(self):
-        rng = np.random.default_rng(5)
-        graph = InteractionGraph(3, ((0, 1), (1, 2)))
-        model = IsingModel(graph, box=(0.0, 0.5))
-        cloud = gaussian_prior_cloud(rng, 0.25, 0.03, 4000, 2)
-        prior_trace = float(np.trace(posterior_covariance(cloud)))
-        spec = ExperimentSpec("IQLE", 1e-9, [0.25, 0.25], TWO_OUTCOME)
-        result = bayes_risk_nd(model, cloud, spec, 0.0, 200, rng)
-        assert result.mean == pytest.approx(prior_trace, rel=1e-3)
-
-    def test_learning_reduces_trace(self):
-        rng = np.random.default_rng(6)
-        graph = InteractionGraph(3, ((0, 1), (1, 2)))
-        model = IsingModel(graph, box=(0.0, 0.5))
-        sigma = math.sqrt(0.001)
-        cloud = gaussian_prior_cloud(rng, 0.25, sigma, 4000, 2)
-        prior_trace = float(np.trace(posterior_covariance(cloud)))
-        t = optimal_time(sigma)
-
-        def designer(stream):
-            return trace_radius_inversion(cloud, t, stream)
-
-        result = bayes_risk_nd(model, cloud, designer, 0.0, 300, rng)
-        assert result.mean + 3 * result.stderr < prior_trace
-
-    def test_agrees_with_quadrature_on_single_edge(self):
-        # Cross-validation of the Monte Carlo path against the closed-form
-        # path on the exactly solvable one-coupling model.
-        rng = np.random.default_rng(7)
-        prior = GaussianPrior1D(0.25, 0.03)
-        graph = InteractionGraph(2, ((0, 1),))
-        model = IsingModel(graph, box=(0.0, 0.5))
-        cloud = gaussian_prior_cloud(rng, prior.mu, prior.sigma, 20_000, 1)
-        t = optimal_time(prior.sigma)
-        x_inv = prior.mu + prior.sigma
-        spec = ExperimentSpec("IQLE", t, [x_inv], TWO_OUTCOME)
-        mc = bayes_risk_nd(model, cloud, spec, 0.0, 400, rng)
-        closed = bayes_risk_1d(prior, x_inv, t, 0.0)
-        # allow extra slack for the finite-particle prior discretization
-        assert abs(mc.mean - closed) < 3 * mc.stderr + 0.02 * closed
-
-    def test_bitflip_requires_two_outcome(self):
-        rng = np.random.default_rng(8)
-        graph = InteractionGraph(2, ((0, 1),))
-        model = IsingModel(graph)
-        cloud = gaussian_prior_cloud(rng, 0.0, 0.1, 100, 1)
-        spec = ExperimentSpec("QLE", 1.0, measurement="full")
-        with pytest.raises(ValueError):
-            bayes_risk_nd(model, cloud, spec, 0.1, 10, rng)

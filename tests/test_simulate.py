@@ -1,4 +1,4 @@
-"""Unit tests for outcome sampling, likelihood estimation, and budgets."""
+"""Unit tests for outcome sampling and likelihood estimation."""
 
 import numpy as np
 import pytest
@@ -15,9 +15,6 @@ from hamlearn.models import (
 )
 from hamlearn.simulate import (
     LikelihoodEvaluator,
-    SampleBudget,
-    plan_budget,
-    required_samples,
     sample_outcome,
 )
 
@@ -145,6 +142,51 @@ class TestLikelihoodEvaluator:
         values = evaluator.likelihood_many(0, np.full((5000, 1), 0.3), spec, rng=rng)
         assert np.all(values <= 1.0) and np.all(values >= LIKELIHOOD_FLOOR)
 
+    def test_noisy_mode_zero_noise_identity(self):
+        rng = np.random.default_rng(10)
+        model = one_coupling_model()
+        spec = ExperimentSpec(IQLE, 1.0, [0.3], TWO_OUTCOME)
+        xs = np.array([[0.37], [-0.1], [0.3]])
+        evaluator = LikelihoodEvaluator(model, "noisy_exact", noise=0.0)
+        np.testing.assert_array_equal(evaluator.likelihood_many(0, xs, spec, rng=rng),
+                                      model.likelihood_many(0, xs, spec))
+
+    def test_noisy_mode_center_unbiased(self):
+        # With p = 0.5 clipping is negligible: the sample mean of 1e6 draws
+        # must land within 5 standard errors of p.
+        rng = np.random.default_rng(11)
+        spec = ExperimentSpec(IQLE, np.pi / 2, [0.0], TWO_OUTCOME)
+        evaluator = LikelihoodEvaluator(one_coupling_model(), "noisy_exact", noise=0.1)
+        draws = evaluator.likelihood_many(0, np.full((1_000_000, 1), 0.5), spec, rng=rng)
+        assert abs(draws.mean() - 0.5) < 5e-4
+
+    def test_noisy_mode_clipping_at_one(self):
+        rng = np.random.default_rng(12)
+        spec = ExperimentSpec(IQLE, 5.0, [0.2], TWO_OUTCOME)  # perfect echo: p = 1
+        evaluator = LikelihoodEvaluator(one_coupling_model(), "noisy_exact", noise=0.1)
+        draws = evaluator.likelihood_many(0, np.full((10_000, 1), 0.2), spec, rng=rng)
+        assert np.all(draws <= 1.0)
+        assert np.all(draws >= LIKELIHOOD_FLOOR)
+
+    @pytest.mark.parametrize("seed, noise", [(13, 0.05), (14, 0.3), (15, 2.0)])
+    def test_noisy_mode_draws(self, seed, noise):
+        # One normal draw per particle, clipped once: the output and the
+        # generator state after the call are pinned bit for bit.
+        graph = InteractionGraph.line(3)
+        model = IsingModel(graph)
+        xs = np.random.default_rng(seed + 100).uniform(-0.5, 0.5, (500, graph.dimension))
+        spec = ExperimentSpec(IQLE, 7.0, [0.1, -0.2], FULL_BASIS)
+        exact = model.likelihood_many(3, xs, spec)
+        rng = np.random.default_rng(seed)
+        values = LikelihoodEvaluator(model, "noisy_exact", noise=noise).likelihood_many(
+            3, xs, spec, rng=rng
+        )
+        reference_rng = np.random.default_rng(seed)
+        reference = np.clip(exact + reference_rng.normal(0, noise, xs.shape[0]),
+                            LIKELIHOOD_FLOOR, 1.0)
+        np.testing.assert_array_equal(values, reference)
+        assert rng.random() == reference_rng.random()
+
     def test_stochastic_modes_require_rng(self):
         model = one_coupling_model()
         spec = ExperimentSpec(QLE, 1.0)
@@ -160,42 +202,3 @@ class TestLikelihoodEvaluator:
         assert LikelihoodEvaluator(model).calls_per_update(500) == 500
         assert LikelihoodEvaluator(model, mode="noisy_exact", noise=0.1).calls_per_update(500) == 500
         assert LikelihoodEvaluator(model, mode="sampled", n_samp=32).calls_per_update(500) == 16_000
-
-
-class TestRequiredSamples:
-    def test_deterministic_outcomes_need_nothing(self):
-        assert required_samples(0.0, 0.5, 0.1) == 0
-        assert required_samples(1.0, 0.5, 0.1) == 0
-
-    def test_reference_point(self):
-        assert required_samples(0.5, 0.5, 0.1) == 100
-
-    def test_halving_epsilon_quadruples(self):
-        assert required_samples(0.5, 0.5, 0.05) == 4 * required_samples(0.5, 0.5, 0.1)
-
-    def test_monotone_in_epsilon_and_expected(self):
-        for eps in (0.01, 0.02, 0.1, 0.5):
-            assert required_samples(0.4, 0.3, eps) >= required_samples(0.4, 0.3, 2 * eps)
-        for expected in (0.05, 0.1, 0.4, 0.9):
-            assert required_samples(0.4, expected, 0.1) >= required_samples(
-                0.4, min(1.0, 2 * expected), 0.1
-            )
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            required_samples(1.5, 0.5, 0.1)
-        with pytest.raises(ValueError):
-            required_samples(0.5, 0.0, 0.1)
-        with pytest.raises(ValueError):
-            required_samples(0.5, 0.5, 0.0)
-
-
-class TestPlanBudget:
-    def test_totals(self):
-        budget = plan_budget(0.5, 0.5, 0.1, 2000)
-        assert budget == SampleBudget(0.1, 100, 200_000)
-
-    def test_minimum_one_shot(self):
-        budget = plan_budget(1.0, 0.5, 0.1, 10)
-        assert budget.n_samp_per_particle == 1
-        assert budget.n_sim_total == 10

@@ -8,18 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamlearn.errors import DimensionMismatch, ZeroTotalWeight
-from hamlearn.models import IQLE, TWO_OUTCOME, ExperimentSpec, InteractionGraph, IsingModel
+from hamlearn.models import (
+    IQLE,
+    LIKELIHOOD_FLOOR,
+    TWO_OUTCOME,
+    ExperimentSpec,
+    InteractionGraph,
+    IsingModel,
+)
 from hamlearn.smc import (
     ParticleCloud,
     bayes_update,
-    credible_region,
     effective_sample_size,
     liu_west_resample,
-    normalize_weights,
     posterior_covariance,
     posterior_mean,
     quadratic_loss,
-    region_contains,
     uniform_cloud,
 )
 
@@ -36,28 +40,7 @@ class _ConstantModel:
 
 def random_cloud(rng, size=20, dim=3):
     weights = rng.uniform(0.1, 1.0, size)
-    return normalize_weights(
-        ParticleCloud(rng.normal(0, 1, (size, dim)), weights)
-    )
-
-
-class TestNormalizeWeights:
-    def test_uniform_scaling(self):
-        cloud = normalize_weights(ParticleCloud([[0.0], [1.0]], [2.0, 2.0]))
-        np.testing.assert_allclose(cloud.weights, [0.5, 0.5])
-
-    def test_already_normalized(self):
-        cloud = normalize_weights(ParticleCloud([[0.0], [1.0], [2.0]], [1.0, 0.0, 0.0]))
-        np.testing.assert_allclose(cloud.weights, [1.0, 0.0, 0.0])
-
-    def test_zero_total_weight(self):
-        with pytest.raises(ZeroTotalWeight):
-            normalize_weights(ParticleCloud([[0.0], [1.0]], [0.0, 0.0]))
-
-    def test_positions_untouched(self):
-        positions = [[1.0, 2.0], [3.0, 4.0]]
-        cloud = normalize_weights(ParticleCloud(positions, [3.0, 1.0]))
-        np.testing.assert_array_equal(cloud.positions, positions)
+    return ParticleCloud(rng.normal(0, 1, (size, dim)), weights / weights.sum())
 
 
 class TestBayesUpdate:
@@ -132,6 +115,20 @@ class TestBayesUpdate:
         likes = rng.uniform(1e-6, 1.0, cloud.size)
         update = bayes_update(cloud, 0, None, _ConstantModel(likes))
         assert abs(update.cloud.weights.sum() - 1.0) < 1e-12
+
+    @given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(1, 10_000))
+    @settings(max_examples=20, deadline=None)
+    def test_weights_survive_underflow(self, seed, size):
+        # Likelihoods spread over 320 decades drive most weights below the
+        # smallest normal double; normalization must still hold.
+        rng = np.random.default_rng(seed)
+        cloud = ParticleCloud(np.zeros((size, 1)), np.full(size, 1.0 / size))
+        for _ in range(200):
+            likes = np.maximum(10.0 ** rng.uniform(-320.0, 0.0, size), LIKELIHOOD_FLOOR)
+            update = bayes_update(cloud, 0, None, _ConstantModel(likes))
+            cloud = update.cloud
+            assert abs(cloud.weights.sum() - 1.0) <= 1e-12
+            assert 1.0 <= update.ess <= size
 
 
 class TestEffectiveSampleSize:
@@ -253,7 +250,7 @@ class TestLiuWestResample:
         size = 100_000
         positions = rng.multivariate_normal([1.0, -2.0], [[1.0, 0.3], [0.3, 0.5]], size)
         weights = rng.uniform(0.5, 1.5, size)
-        cloud = normalize_weights(ParticleCloud(positions, weights))
+        cloud = ParticleCloud(positions, weights / weights.sum())
         mean, cov = posterior_mean(cloud), posterior_covariance(cloud)
 
         resampled = liu_west_resample(cloud, a=0.9, rng=rng)
@@ -272,44 +269,6 @@ class TestLiuWestResample:
         cloud = ParticleCloud(np.ones((20, 3)), np.full(20, 0.05))
         resampled = liu_west_resample(cloud, a=0.9, rng=np.random.default_rng(8))
         assert np.all(np.isfinite(resampled.positions))
-
-
-class TestCredibleRegion:
-    def test_unit_interval(self):
-        # alpha chosen so the chi-square threshold is exactly 1: the region
-        # is mean +/- sigma for a 1-D Gaussian cloud.
-        from scipy import stats
-
-        rng = np.random.default_rng(9)
-        cloud = ParticleCloud(rng.normal(0.0, 1.0, (200_000, 1)), np.full(200_000, 5e-6))
-        alpha = stats.chi2.cdf(1.0, df=1)
-        ellipse = credible_region(cloud, alpha)
-        assert ellipse.radius2 == pytest.approx(1.0, rel=1e-12)
-        sigma = math.sqrt(1.0 / ellipse.precision[0, 0])
-        assert sigma == pytest.approx(1.0, rel=0.02)
-        assert region_contains(ellipse, ellipse.center)
-        assert not region_contains(ellipse, ellipse.center + 2.0 * sigma)
-
-    def test_isotropic_cloud_gives_circle(self):
-        rng = np.random.default_rng(10)
-        cloud = ParticleCloud(rng.normal(0.0, 0.3, (100_000, 2)), np.full(100_000, 1e-5))
-        ellipse = credible_region(cloud, 0.95)
-        eigenvalues = np.linalg.eigvalsh(ellipse.precision)
-        assert eigenvalues[1] / eigenvalues[0] == pytest.approx(1.0, abs=0.02)
-
-    def test_boundary_inclusive(self):
-        cloud = ParticleCloud([[0.0], [2.0]], [0.5, 0.5])
-        ellipse = credible_region(cloud, 0.5)
-        # walk out to exactly the boundary along the single axis
-        radius = math.sqrt(ellipse.radius2 / ellipse.precision[0, 0])
-        assert region_contains(ellipse, ellipse.center + radius)
-        assert not region_contains(ellipse, ellipse.center + radius * 1.0001)
-
-    def test_alpha_validation(self):
-        cloud = ParticleCloud([[0.0], [1.0]], [0.5, 0.5])
-        for bad in (0.0, 1.0, -0.5, 2.0):
-            with pytest.raises(ValueError):
-                credible_region(cloud, bad)
 
 
 class TestUniformCloud:
