@@ -23,6 +23,7 @@ from hamlearn.models import (
     fwht,
     single_param_likelihood,
 )
+from hamlearn.simulate import LikelihoodEvaluator
 
 # Graphs on which the likelihood kernel is checked against the dense oracle.
 ORACLE_GRAPHS = {
@@ -97,6 +98,36 @@ class TestSingleParamLikelihood:
     def test_outcomes_sum_to_one(self, x, x_inv, t):
         total = single_param_likelihood(0, x, x_inv, t) + single_param_likelihood(1, x, x_inv, t)
         assert total == pytest.approx(1.0, abs=1e-15)
+
+
+class TestIsingEnergy:
+    def test_all_up_sums_couplings(self):
+        graph = InteractionGraph.complete(4)
+        x = np.arange(1.0, 7.0)
+        assert IsingModel(graph).energies(x)[0] == pytest.approx(x.sum())
+
+    def test_opposite_spins_single_edge(self):
+        graph = InteractionGraph(2, ((0, 1),))
+        # "01": qubit 0 up, qubit 1 down -> state index 0b10.
+        assert IsingModel(graph).energies([0.5])[0b10] == pytest.approx(-0.5)
+
+    def test_matches_dense_diagonal(self):
+        from hamlearn.models import _dense_energy_diagonal
+
+        rng = np.random.default_rng(0)
+        graph = InteractionGraph.complete(4)
+        x = rng.uniform(-0.5, 0.5, graph.dimension)
+        np.testing.assert_allclose(
+            IsingModel(graph).energies(x), _dense_energy_diagonal(graph, x), rtol=0, atol=1e-12
+        )
+
+    def test_string_and_int_agree(self):
+        graph = InteractionGraph.line(3)
+        x = [0.2, -0.4]
+        # "011" -> qubit0=0, qubit1=1, qubit2=1 -> int with bit k = qubit k
+        spins = [1 - 2 * int(c) for c in "011"]
+        direct = sum(w * spins[i] * spins[j] for w, (i, j) in zip(x, graph.edges))
+        assert IsingModel(graph).energies(x)[0b110] == pytest.approx(direct)
 
 
 class TestFwht:
@@ -388,3 +419,35 @@ class TestBitflipWrap:
     def test_range(self, alpha, p):
         wrapped = bitflip_wrap(alpha, p)
         assert alpha - 1e-12 <= wrapped <= 1 - alpha + 1e-12
+
+
+class TestNoisyLikelihood:
+    """Gaussian likelihood noise of the `noisy_exact` evaluator on the one-coupling echo."""
+
+    def test_zero_noise_identity(self):
+        rng = np.random.default_rng(10)
+        model = IsingModel(InteractionGraph.line(2))
+        spec = ExperimentSpec(IQLE, 1.0, [0.3], TWO_OUTCOME)
+        xs = np.array([[0.37], [-0.1], [0.3]])
+        evaluator = LikelihoodEvaluator(model, "noisy_exact", noise=0.0)
+        np.testing.assert_array_equal(evaluator.likelihood_many(0, xs, spec, rng=rng),
+                                      model.likelihood_many(0, xs, spec))
+
+    def test_center_unbiased(self):
+        # With p = 0.5 clipping is negligible: the sample mean of 1e6 draws
+        # must land within 5 standard errors of p.
+        rng = np.random.default_rng(11)
+        spec = ExperimentSpec(IQLE, np.pi / 2, [0.0], TWO_OUTCOME)
+        evaluator = LikelihoodEvaluator(IsingModel(InteractionGraph.line(2)), "noisy_exact",
+                                        noise=0.1)
+        draws = evaluator.likelihood_many(0, np.full((1_000_000, 1), 0.5), spec, rng=rng)
+        assert abs(draws.mean() - 0.5) < 5e-4
+
+    def test_clipping_at_one(self):
+        rng = np.random.default_rng(12)
+        spec = ExperimentSpec(IQLE, 5.0, [0.2], TWO_OUTCOME)  # perfect echo: p = 1
+        evaluator = LikelihoodEvaluator(IsingModel(InteractionGraph.line(2)), "noisy_exact",
+                                        noise=0.1)
+        draws = evaluator.likelihood_many(0, np.full((10_000, 1), 0.2), spec, rng=rng)
+        assert np.all(draws <= 1.0)
+        assert np.all(draws >= LIKELIHOOD_FLOOR)

@@ -142,32 +142,6 @@ class TestLikelihoodEvaluator:
         values = evaluator.likelihood_many(0, np.full((5000, 1), 0.3), spec, rng=rng)
         assert np.all(values <= 1.0) and np.all(values >= LIKELIHOOD_FLOOR)
 
-    def test_noisy_mode_zero_noise_identity(self):
-        rng = np.random.default_rng(10)
-        model = one_coupling_model()
-        spec = ExperimentSpec(IQLE, 1.0, [0.3], TWO_OUTCOME)
-        xs = np.array([[0.37], [-0.1], [0.3]])
-        evaluator = LikelihoodEvaluator(model, "noisy_exact", noise=0.0)
-        np.testing.assert_array_equal(evaluator.likelihood_many(0, xs, spec, rng=rng),
-                                      model.likelihood_many(0, xs, spec))
-
-    def test_noisy_mode_center_unbiased(self):
-        # With p = 0.5 clipping is negligible: the sample mean of 1e6 draws
-        # must land within 5 standard errors of p.
-        rng = np.random.default_rng(11)
-        spec = ExperimentSpec(IQLE, np.pi / 2, [0.0], TWO_OUTCOME)
-        evaluator = LikelihoodEvaluator(one_coupling_model(), "noisy_exact", noise=0.1)
-        draws = evaluator.likelihood_many(0, np.full((1_000_000, 1), 0.5), spec, rng=rng)
-        assert abs(draws.mean() - 0.5) < 5e-4
-
-    def test_noisy_mode_clipping_at_one(self):
-        rng = np.random.default_rng(12)
-        spec = ExperimentSpec(IQLE, 5.0, [0.2], TWO_OUTCOME)  # perfect echo: p = 1
-        evaluator = LikelihoodEvaluator(one_coupling_model(), "noisy_exact", noise=0.1)
-        draws = evaluator.likelihood_many(0, np.full((10_000, 1), 0.2), spec, rng=rng)
-        assert np.all(draws <= 1.0)
-        assert np.all(draws >= LIKELIHOOD_FLOOR)
-
     @pytest.mark.parametrize("seed, noise", [(13, 0.05), (14, 0.3), (15, 2.0)])
     def test_noisy_mode_draws(self, seed, noise):
         # One normal draw per particle, clipped once: the output and the
