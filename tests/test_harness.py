@@ -125,18 +125,35 @@ class TestRunTrial:
         assert len(trajectory) == 0
         assert not trajectory.converged
 
-    def test_loss_regression_statistical(self):
-        # Box-center truth, exact evaluation: the loss must shrink in at
-        # least 95 of 100 seeded trials.
+    @staticmethod
+    def _improved_trials(designer=None):
+        # Trials out of 100 (seeds 1000-1099) whose final loss beats the
+        # median of their first five.  The loss after one datum alone is
+        # heavy-tailed (a lucky first draw can sit orders of magnitude below
+        # the median), so it would make trials that learn count as
+        # regressions.
         config = single_param_config(particles=2000, n_experiments=50)
         model = build_model(config.model)
         improved = 0
         for seed in range(100):
             rng = np.random.default_rng(1000 + seed)
-            trajectory = run_trial(config, [0.0], rng, model=model)
+            trajectory = run_trial(config, [0.0], rng, model=model, designer=designer)
             losses = trajectory.losses()
-            improved += losses[-1] < losses[0]
-        assert improved >= 95
+            improved += losses[-1] < np.median(losses[:5])
+        return improved
+
+    def test_loss_regression_statistical(self):
+        # Box-center truth, exact evaluation: the loss must shrink in at
+        # least 95 of 100 seeded trials.
+        assert self._improved_trials() >= 95
+
+    def test_loss_regression_control_without_information(self):
+        # Control: at t = 0 every outcome has likelihood one under every
+        # hypothesis, so nothing is learned and the criterion must fail.
+        def blind_designer(cloud, rng):
+            return ExperimentSpec(IQLE, 0.0, cloud.positions[0], TWO_OUTCOME)
+
+        assert self._improved_trials(blind_designer) < 95
 
     def test_echo_designer_concentrates_posterior(self):
         # Pin the inversion at the truth (maximal-information limit) and
