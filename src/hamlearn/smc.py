@@ -15,9 +15,10 @@ import numpy as np
 
 from .errors import DimensionMismatch, ZeroTotalWeight
 
+_EPS = float(np.finfo(np.float64).eps)
 # Resampling rejects weights further than this from summing to one, as
 # numpy's Generator.choice does.
-_CHOICE_SUM_TOL = float(np.sqrt(np.finfo(np.float64).eps))
+_CHOICE_SUM_TOL = float(np.sqrt(_EPS))
 
 
 @dataclass(frozen=True)
@@ -34,6 +35,11 @@ class ParticleCloud:
         them to sum to one; public operations return normalized clouds,
         whose weights sum to one within 1e-12, also after 200 successive
         updates with likelihoods down to `models.LIKELIHOOD_FLOOR`.
+
+    A float64 C-contiguous array that is read-only and owns its data cannot
+    change under the cloud, so it is kept as it is and shared (an update
+    shares its positions with the cloud it came from).  Any other array is
+    copied into a read-only one.
     """
 
     positions: np.ndarray
@@ -45,7 +51,9 @@ class ParticleCloud:
             positions = positions.reshape(-1, 1)
         if positions.ndim != 2 or positions.shape[0] < 1 or positions.shape[1] < 1:
             raise ValueError("positions must be a nonempty (size, dimension) array")
-        weights = np.asarray(self.weights, dtype=float).ravel()
+        weights = np.asarray(self.weights, dtype=float)
+        if weights.ndim != 1:
+            weights = weights.ravel()
         if weights.shape[0] != positions.shape[0]:
             raise DimensionMismatch(
                 f"{weights.shape[0]} weights for {positions.shape[0]} particles"
@@ -54,12 +62,8 @@ class ParticleCloud:
             raise ValueError("particle positions must be finite")
         if not np.all(np.isfinite(weights)) or np.any(weights < 0):
             raise ValueError("weights must be finite and nonnegative")
-        positions = positions.copy()
-        weights = weights.copy()
-        positions.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "positions", _frozen(positions))
+        object.__setattr__(self, "weights", _frozen(weights))
 
     @property
     def size(self) -> int:
@@ -68,6 +72,15 @@ class ParticleCloud:
     @property
     def dimension(self) -> int:
         return self.positions.shape[1]
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """`array` if it is read-only, C-contiguous and owns its data, else a frozen copy."""
+    flags = array.flags
+    if flags.writeable or not flags.owndata or not flags.c_contiguous:
+        array = array.copy()
+    array.setflags(write=False)
+    return array
 
 
 class BayesUpdate(NamedTuple):
@@ -109,11 +122,12 @@ def bayes_update(
     ).ravel()
     if likelihoods.shape[0] != cloud.size:
         raise DimensionMismatch("model returned wrong number of likelihoods")
-    raw = cloud.weights * likelihoods
-    total = float(np.sum(raw))
+    weights = cloud.weights * likelihoods
+    total = float(np.sum(weights))
     if total <= 0.0:
         raise ZeroTotalWeight("outcome has zero likelihood under every hypothesis")
-    updated = ParticleCloud(cloud.positions, raw / total)
+    weights /= total
+    updated = ParticleCloud(cloud.positions, _frozen(weights))
     ess = effective_sample_size(updated)
     return BayesUpdate(updated, ess, ess < resample_threshold * updated.size)
 
@@ -131,13 +145,25 @@ def posterior_mean(cloud: ParticleCloud) -> np.ndarray:
 
 def posterior_covariance(cloud: ParticleCloud) -> np.ndarray:
     """Weighted covariance of the particle positions (symmetric PSD)."""
-    return _covariance_about(cloud, posterior_mean(cloud))
+    return _moments(cloud)[2]
 
 
-def _covariance_about(cloud: ParticleCloud, mean: np.ndarray) -> np.ndarray:
+def _moments(cloud: ParticleCloud):
+    """Weighted mean, centered positions and covariance of the cloud.
+
+    Weights below eps/size are skipped.  Together they hold less than eps of
+    the mass, so skipping them moves the mean by at most eps times the
+    cloud's extent and the covariance by at most eps times its square.  Noisy
+    likelihoods floored at `models.LIKELIHOOD_FLOOR` leave many such ghost
+    weights near 1e-303, whose products with the centered positions are
+    subnormal and slow.
+    """
+    weights = cloud.weights
+    weights = np.where(weights < _EPS / weights.shape[0], 0.0, weights)
+    mean = weights @ cloud.positions
     centered = cloud.positions - mean
-    cov = (centered * cloud.weights[:, None]).T @ centered
-    return 0.5 * (cov + cov.T)
+    cov = (centered * weights[:, None]).T @ centered
+    return mean, centered, 0.5 * (cov + cov.T)
 
 
 def quadratic_loss(estimate, truth) -> float:
@@ -185,18 +211,20 @@ def liu_west_resample(
         raise ValueError("liu_west_resample requires an explicit rng")
     if not 0.0 <= a <= 1.0:
         raise ValueError("mixing parameter a must lie in [0, 1]")
-    n, d = cloud.size, cloud.dimension
+    n = cloud.size
     parents = np.take(cloud.positions, _draw_parents(cloud.weights, rng), axis=0)
-    uniform = np.full(n, 1.0 / n)
+    uniform = _frozen(np.full(n, 1.0 / n))
     if a == 1.0:
-        return ParticleCloud(parents, uniform)
-    mean = posterior_mean(cloud)
-    scale = np.sqrt(1.0 - a * a) * _cholesky_with_jitter(_covariance_about(cloud, mean))
-    # a * parent + (1 - a) * mean + kick, built in place in the parents' array
+        return ParticleCloud(_frozen(parents), uniform)
+    mean, work, cov = _moments(cloud)
+    scale = np.sqrt(1.0 - a * a) * _cholesky_with_jitter(cov)
+    # a * parent + (1 - a) * mean + kick, built in place in the parents' array;
+    # the kicks' normals refill the centered work array, the same stream as
+    # standard_normal((n, d)).
     parents *= a
     parents += (1.0 - a) * mean
-    parents += rng.standard_normal((n, d)) @ scale.T
-    return ParticleCloud(parents, uniform)
+    parents += rng.standard_normal(out=work) @ scale.T
+    return ParticleCloud(_frozen(parents), uniform)
 
 
 def weight_cdf(weights: np.ndarray) -> np.ndarray:
