@@ -36,10 +36,9 @@ class ParticleCloud:
         whose weights sum to one within 1e-12, also after 200 successive
         updates with likelihoods down to `models.LIKELIHOOD_FLOOR`.
 
-    A float64 C-contiguous array that is read-only and owns its data cannot
-    change under the cloud, so it is kept as it is and shared (an update
-    shares its positions with the cloud it came from).  Any other array is
-    copied into a read-only one.
+    A float64, C-contiguous, read-only array that owns its data cannot change
+    under the cloud, so it is shared, not copied: an update shares its
+    positions with the cloud it came from.  Other arrays are copied.
     """
 
     positions: np.ndarray
@@ -149,15 +148,9 @@ def posterior_covariance(cloud: ParticleCloud) -> np.ndarray:
 
 
 def _moments(cloud: ParticleCloud):
-    """Weighted mean, centered positions and covariance of the cloud.
-
-    Weights below eps/size are skipped.  Together they hold less than eps of
-    the mass, so skipping them moves the mean by at most eps times the
-    cloud's extent and the covariance by at most eps times its square.  Noisy
-    likelihoods floored at `models.LIKELIHOOD_FLOOR` leave many such ghost
-    weights near 1e-303, whose products with the centered positions are
-    subnormal and slow.
-    """
+    """Weighted mean, centered positions and covariance, skipping weights
+    below eps/size: they hold under eps of the mass, so the mean moves by at
+    most eps * max|x| and the covariance by about eps * max|x - mean|^2."""
     weights = cloud.weights
     weights = np.where(weights < _EPS / weights.shape[0], 0.0, weights)
     mean = weights @ cloud.positions
@@ -178,16 +171,11 @@ def quadratic_loss(estimate, truth) -> float:
     return float(diff @ diff)
 
 
-def _regularization_eps(cov: np.ndarray) -> float:
+def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
     # Late-stage clouds collapse; a trace-scaled floor keeps the Cholesky
     # factor well defined without visibly perturbing healthy covariances.
     d = cov.shape[0]
-    return 1e-12 * max(1.0, float(np.trace(cov)) / d)
-
-
-def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
-    d = cov.shape[0]
-    eps = _regularization_eps(cov)
+    eps = 1e-12 * max(1.0, float(np.trace(cov)) / d)
     for _ in range(16):
         try:
             return np.linalg.cholesky(cov + eps * np.eye(d))
@@ -201,10 +189,15 @@ def liu_west_resample(
 ) -> ParticleCloud:
     """Moment-preserving resample of the cloud.
 
-    Parents are drawn multinomially by weight; each offspring is sampled from
-    a Gaussian centered at ``a * parent + (1 - a) * mean`` with covariance
-    ``(1 - a^2) * Cov``, so the cloud's mean and covariance are preserved in
-    expectation.  All new weights equal 1/size.  With a = 1 the offspring are
+    Parents are a systematic draw (Douc & Cappe 2005): one uniform u puts the
+    points (k + 1 - u) / n, k < n, on the weights' cumulative sum, so particle
+    j gets N_j offspring with |N_j - n w_j| < 1 and zero weights get none, in
+    O(n) and with less variance than a multinomial draw.  Each offspring is
+    sampled from a Gaussian centered at ``a * parent + (1 - a) * mean`` with
+    covariance ``(1 - a^2) * Cov``, which preserves the mean and covariance in
+    expectation.  The moments skip weights below eps/size, such as the ghosts
+    near 1e-303 that floored likelihoods leave, whose products are subnormal
+    and slow.  All new weights equal 1/size; with a = 1 the offspring are
     exact copies of their parents.
     """
     if rng is None:
@@ -212,15 +205,18 @@ def liu_west_resample(
     if not 0.0 <= a <= 1.0:
         raise ValueError("mixing parameter a must lie in [0, 1]")
     n = cloud.size
-    parents = np.take(cloud.positions, _draw_parents(cloud.weights, rng), axis=0)
+    edges = np.floor(n * weight_cdf(cloud.weights) + rng.random())
+    np.minimum(edges, n, out=edges)  # n + u rounds up to n + 1 for u near 1
+    counts = np.diff(edges, prepend=0.0).astype(np.intp)
+    parents = np.repeat(cloud.positions, counts, axis=0)
+    del edges, counts  # freed before the moments, to keep the peak memory down
     uniform = _frozen(np.full(n, 1.0 / n))
     if a == 1.0:
         return ParticleCloud(_frozen(parents), uniform)
     mean, work, cov = _moments(cloud)
     scale = np.sqrt(1.0 - a * a) * _cholesky_with_jitter(cov)
-    # a * parent + (1 - a) * mean + kick, built in place in the parents' array;
-    # the kicks' normals refill the centered work array, the same stream as
-    # standard_normal((n, d)).
+    # a * parent + (1 - a) * mean + kick, in place in the parents' array; the
+    # normals refill the work array (the stream of standard_normal((n, d))).
     parents *= a
     parents += (1.0 - a) * mean
     parents += rng.standard_normal(out=work) @ scale.T
@@ -230,9 +226,9 @@ def liu_west_resample(
 def weight_cdf(weights: np.ndarray) -> np.ndarray:
     """Normalized cumulative sum of `weights`, as ``Generator.choice`` builds it.
 
-    ``weight_cdf(w).searchsorted(rng.random(), side="right")`` is then the
-    draw of ``rng.choice(n, p=w)``.  Raises ValueError, as choice does, when
-    the weights do not sum to one.
+    ``weight_cdf(w).searchsorted(rng.random(), side="right")`` is the draw of
+    ``rng.choice(n, p=w)`` (PGH); the resampler lays its systematic points on
+    it.  Raises ValueError, as choice does, when weights do not sum to one.
     """
     cdf = np.cumsum(weights)
     if abs(cdf[-1] - 1.0) > _CHOICE_SUM_TOL:
@@ -240,17 +236,3 @@ def weight_cdf(weights: np.ndarray) -> np.ndarray:
     cdf /= cdf[-1]
     return cdf
 
-
-def _draw_parents(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Multinomial parent indices: the draws of ``rng.choice(n, n, p=weights)``.
-
-    The same uniforms are located in the same normalized cumulative sum, but
-    in sorted order, which keeps the binary searches cache-friendly; the
-    results are scattered back to draw order.
-    """
-    cdf = weight_cdf(weights)
-    uniforms = rng.random(weights.shape[0])
-    order = np.argsort(uniforms)
-    picks = np.empty(weights.shape[0], dtype=np.intp)
-    picks[order] = np.searchsorted(cdf, uniforms[order], side="right")
-    return picks

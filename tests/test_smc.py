@@ -77,6 +77,19 @@ class TestBayesUpdate:
         # the caller's cloud is untouched
         np.testing.assert_allclose(cloud.weights, [0.5, 0.5])
 
+    def test_update_shares_frozen_positions(self):
+        # The update keeps the read-only positions it was given; a writable
+        # array handed to a cloud is still copied.
+        positions = np.arange(6.0).reshape(3, 2)
+        cloud = ParticleCloud(positions, np.full(3, 1 / 3))
+        positions[0, 0] = 99.0
+        assert cloud.positions[0, 0] == 0.0
+        updated = bayes_update(cloud, 0, None, _ConstantModel([0.2, 0.3, 0.5])).cloud
+        assert updated.positions is cloud.positions
+        assert not updated.positions.flags.writeable
+        with pytest.raises(ValueError):
+            updated.positions[0, 0] = 1.0
+
     def test_resample_flag(self):
         cloud = ParticleCloud(np.arange(4.0).reshape(-1, 1), np.full(4, 0.25))
         concentrated = bayes_update(cloud, 0, None, _ConstantModel([1.0, 1e-9, 1e-9, 1e-9]))
@@ -213,9 +226,9 @@ class TestLiuWestResample:
         positions = {tuple(p) for p in cloud.positions}
         assert all(tuple(p) in positions for p in resampled.positions)
 
-    def test_parents_match_multinomial_choice(self):
-        # The parents are exactly the draws of rng.choice(n, n, p=w), and the
-        # generator is left in the same state.
+    def test_parents_are_systematic(self):
+        # Offspring counts stay within one of n * w_j, sum to n, skip zero
+        # weights, and the draw consumes exactly one uniform.
         rng = np.random.default_rng(10)
         sparse = np.zeros(400)
         sparse[rng.choice(400, 7, replace=False)] = rng.uniform(size=7)
@@ -229,9 +242,30 @@ class TestLiuWestResample:
             cloud = ParticleCloud(np.arange(n, dtype=float), weights)
             ours, reference = np.random.default_rng(11), np.random.default_rng(11)
             resampled = liu_west_resample(cloud, a=1.0, rng=ours)
-            picks = reference.choice(n, n, p=cloud.weights)
-            np.testing.assert_array_equal(resampled.positions[:, 0], picks)
-            assert ours.random() == reference.random()
+            counts = np.bincount(resampled.positions[:, 0].astype(int), minlength=n)
+            assert counts.sum() == n
+            assert np.all(np.abs(counts - n * cloud.weights) < 1.0)
+            assert np.all(counts[cloud.weights == 0.0] == 0)
+            reference.random()
+            assert ours.bit_generator.state == reference.bit_generator.state
+
+    def test_ghost_weights_do_not_move_moments(self):
+        # Weights near 1e-303 (left by floored likelihoods) must give the
+        # same offspring, bit for bit, as exact zeros.
+        rng = np.random.default_rng(13)
+        positions = rng.normal(0.0, 1.0, (1000, 3))
+        weights = rng.uniform(0.5, 1.5, 1000)
+        weights /= weights[1::2].sum()
+        weights[::2] = 1e-303
+        zeroed = weights.copy()
+        zeroed[::2] = 0.0
+        ghosts = liu_west_resample(
+            ParticleCloud(positions, weights), a=0.9, rng=np.random.default_rng(14)
+        )
+        zeros = liu_west_resample(
+            ParticleCloud(positions, zeroed), a=0.9, rng=np.random.default_rng(14)
+        )
+        np.testing.assert_array_equal(ghosts.positions, zeros.positions)
 
     def test_weights_must_sum_to_one(self):
         cloud = ParticleCloud(np.arange(10.0), np.full(10, 0.2))
