@@ -104,7 +104,7 @@ def _check_scaling_sizes(config: RunConfig, sizes) -> None:
     if len(sizes) < 2:
         raise SchemaError(f"--n: need at least two system sizes, got {len(sizes)}")
     for n in sizes:
-        # Each size passes the same schema checks as the config file's model.n.
+        # Each size passes the same schema checks as the config file's model block.
         try:
             parse_config(emit_config(replace(config, model=replace(config.model, n=n))))
         except SchemaError as exc:

@@ -1,21 +1,141 @@
 """Run configuration: schema, parsing, and emission.
 
-Configs are JSON text with a fixed field set; unknown fields are rejected so
-typos fail loudly.  `parse_config(emit_config(cfg))` round-trips exactly.
+Configs are JSON text with a fixed field set.  Each dataclass field declares
+its default, JSON kind and bound once, in its metadata; one walker over
+`dataclasses.fields` parses every section, rejects unknown fields and
+non-finite numbers, and names the field's dotted path in every error.  Then
+`model_graph` checks the model block as a whole.  Configs built in Python
+are taken as given.  `parse_config(emit_config(cfg))` round-trips exactly.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from typing import Optional, Tuple, Union
 
 from .errors import SchemaError
-from .models import EXPERIMENT_KINDS, FULL_BASIS, IQLE, MEASUREMENT_MODES
+from .models import (EXPERIMENT_KINDS, FULL_BASIS, IQLE, MEASUREMENT_MODES, QUBIT_CAP,
+                     InteractionGraph)
 from .simulate import EVALUATOR_MODES, EXACT
 
-GRAPH_FAMILIES = ("complete", "line")
-MODEL_KINDS = ("ising", "single")
+
+def _fail(path: str, message: str) -> "SchemaError":
+    return SchemaError(f"{path}: {message}")
+
+
+# JSON kinds: each takes the raw value and its dotted path, and returns the
+# field's value or raises SchemaError.
+
+def _typed(noun: str, *types):
+    def parse(value, path: str):
+        # JSON true/false are Python bools, which are also ints.
+        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            raise _fail(path, f"expected {noun}, got {value!r}")
+        return value
+    return parse
+
+
+_integer = _typed("an integer", int)
+_boolean = _typed("a boolean", bool)
+_path_or_null = _typed("a path string or null", str, type(None))
+
+
+def _number(value, path: str) -> float:
+    value = _typed("a number", int, float)(value, path)
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        return math.inf if value > 0 else -math.inf
+
+
+def _one_of(choices):
+    def parse(value, path: str) -> str:
+        if value not in choices:
+            raise _fail(path, f"expected one of {sorted(choices)}, got {value!r}")
+        return value
+    return parse
+
+
+def _numbers(values, path: str) -> Tuple[float, ...]:
+    return tuple(_convert(v, f"{path}[{i}]", _number) for i, v in enumerate(values))
+
+
+def _box(value, path: str) -> Tuple[float, float]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise _fail(path, "expected [low, high]")
+    low, high = (_number(v, f"{path}[{i}]") for i, v in enumerate(value))
+    if not low < high:
+        raise _fail(path, f"low must be below high, got [{low}, {high}]")
+    return _numbers((low, high), path)  # then each end must be finite
+
+
+def _couplings(value, path: str) -> Optional[Tuple[float, ...]]:
+    if value is not None and not isinstance(value, (list, tuple)):
+        raise _fail(path, "expected a list of couplings or null")
+    return None if value is None else _numbers(value, path)
+
+
+def _graph(value, path: str):
+    if isinstance(value, str):
+        return _one_of(("complete", "line"))(value, path)
+    if not isinstance(value, (list, tuple)):
+        raise _fail(path, f"expected a family name or edge list, got {value!r}")
+    try:
+        return tuple((int(i), int(j)) for i, j in value)
+    except (TypeError, ValueError, OverflowError):
+        raise _fail(path, "edge list must contain [i, j] pairs") from None
+
+
+# Bounds: (holds, message); the message formats the rejected value.
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative, got {}")
+
+
+def _at_least(minimum: int):
+    return (lambda v: v >= minimum, f"must be at least {minimum}, got {{}}")
+
+
+def _lies_in(interval: str):
+    """Bound for an interval written as its message shows it, e.g. "(0, 1]"."""
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    return (lambda v: (low < v if interval[0] == "(" else low <= v)
+            and (v < high if interval[-1] == ")" else v <= high),
+            f"must lie in {interval}, got {{}}")
+
+
+def _convert(value, path: str, kind, bound=None):
+    """Parse one value by its kind, then check its bound and finiteness."""
+    value = kind(value, path)
+    if bound is not None and not bound[0](value):
+        raise _fail(path, bound[1].format(value))
+    if isinstance(value, float) and not math.isfinite(value):
+        raise _fail(path, f"must be finite, got {value}")
+    return value
+
+
+def _parse_section(cls, data, path: str):
+    """Walk the fields of `cls` over a JSON object; absent fields keep their defaults."""
+    if not isinstance(data, dict):
+        raise _fail(path or "<config>", f"expected an object, got {type(data).__name__}")
+    prefix = f"{path}." if path else ""
+    known = {f.name: f for f in fields(cls)}
+    for key in data:
+        if key not in known:
+            raise _fail(prefix + key, "unknown field")
+    values = {}
+    for name, f in known.items():
+        if name in data:
+            # A field with no kind is a section: a nested config dataclass.
+            kind = f.metadata.get("kind") or partial(_parse_section, f.default_factory)
+            values[name] = _convert(data[name], prefix + name, kind, f.metadata.get("bound"))
+    return cls(**values)
+
+
+def _field(default, kind, bound=None):
+    return field(default=default, metadata={"kind": kind, "bound": bound})
 
 
 @dataclass(frozen=True)
@@ -27,172 +147,71 @@ class ModelConfig:
     small Gaussian jitter (s.d. 0.01 per edge).
     """
 
-    kind: str = "ising"
-    graph: Union[str, Tuple[Tuple[int, int], ...]] = "complete"
-    n: int = 3
-    box: Tuple[float, float] = (-0.5, 0.5)
-    degenerate_couplings: bool = False
+    kind: str = _field("ising", _one_of(("ising", "single")))
+    graph: Union[str, Tuple[Tuple[int, int], ...]] = _field("complete", _graph)
+    n: int = _field(3, _integer, _at_least(2))
+    box: Tuple[float, float] = _field((-0.5, 0.5), _box)
+    degenerate_couplings: bool = _field(False, _boolean)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    kind: str = IQLE
-    measurement: str = FULL_BASIS
+    kind: str = _field(IQLE, _one_of(EXPERIMENT_KINDS))
+    measurement: str = _field(FULL_BASIS, _one_of(MEASUREMENT_MODES))
 
 
 @dataclass(frozen=True)
 class ResampleConfig:
-    a: float = 0.9
-    threshold: float = 0.5
+    a: float = _field(0.9, _number, _lies_in("[0, 1]"))
+    threshold: float = _field(0.5, _number, _lies_in("(0, 1]"))
 
 
 @dataclass(frozen=True)
 class EvaluatorConfig:
-    mode: str = EXACT
-    n_samp: int = 100
-    noise: float = 0.0
+    mode: str = _field(EXACT, _one_of(EVALUATOR_MODES))
+    n_samp: int = _field(100, _integer, _at_least(1))
+    noise: float = _field(0.0, _number, _NONNEGATIVE)
 
 
 @dataclass(frozen=True)
 class PghSettings:
-    t_max: float = 1e6
-    min_separation: float = 1e-12
-    max_redraws: int = 100
+    t_max: float = _field(1e6, _number, _POSITIVE)
+    min_separation: float = _field(1e-12, _number, _POSITIVE)
+    max_redraws: int = _field(100, _integer, _at_least(1))
 
 
 @dataclass(frozen=True)
 class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     experiment: ExperimentConfig = field(default_factory=ExperimentConfig)
-    particles: int = 2000
+    particles: int = _field(2000, _integer, _at_least(2))
     resample: ResampleConfig = field(default_factory=ResampleConfig)
     evaluator: EvaluatorConfig = field(default_factory=EvaluatorConfig)
-    bitflip_alpha: float = 0.0
-    n_experiments: int = 100
-    trials: int = 10
-    seed: int = 0
-    out: Optional[str] = None
+    bitflip_alpha: float = _field(0.0, _number, _lies_in("[0, 0.5]"))
+    n_experiments: int = _field(100, _integer, _at_least(1))
+    trials: int = _field(10, _integer, _at_least(1))
+    seed: int = _field(0, _integer, _at_least(0))
+    out: Optional[str] = _field(None, _path_or_null)
     pgh: PghSettings = field(default_factory=PghSettings)
-    fit_window: float = 0.1
-    truth: Optional[Tuple[float, ...]] = None
+    fit_window: float = _field(0.1, _number, _lies_in("[0, 1)"))
+    truth: Optional[Tuple[float, ...]] = _field(None, _couplings)
 
 
-def _fail(path: str, message: str) -> "SchemaError":
-    return SchemaError(f"{path}: {message}")
+def model_graph(model: ModelConfig) -> InteractionGraph:
+    """The interaction graph of a model block; SchemaError names a field it cannot serve.
 
-
-def _expect_mapping(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise _fail(path, f"expected an object, got {type(value).__name__}")
-    return value
-
-
-def _expect_int(value, path: str, minimum: Optional[int] = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _fail(path, f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise _fail(path, f"must be at least {minimum}, got {value}")
-    return value
-
-
-def _expect_number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _fail(path, f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _expect_choice(value, path: str, choices) -> str:
-    if value not in choices:
-        raise _fail(path, f"expected one of {sorted(choices)}, got {value!r}")
-    return value
-
-
-def _expect_bool(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise _fail(path, f"expected a boolean, got {value!r}")
-    return value
-
-
-def _check_unknown(data: dict, known, path: str) -> None:
-    for key in data:
-        if key not in known:
-            raise _fail(f"{path}.{key}" if path else key, "unknown field")
-
-
-def _parse_model(data: dict) -> ModelConfig:
-    _check_unknown(data, {"kind", "graph", "n", "box", "degenerate_couplings"}, "model")
-    kind = _expect_choice(data.get("kind", "ising"), "model.kind", MODEL_KINDS)
-    graph = data.get("graph", "complete")
-    if isinstance(graph, str):
-        _expect_choice(graph, "model.graph", GRAPH_FAMILIES)
-    elif isinstance(graph, (list, tuple)):
-        try:
-            graph = tuple((int(i), int(j)) for i, j in graph)
-        except (TypeError, ValueError):
-            raise _fail("model.graph", "edge list must contain [i, j] pairs")
-    else:
-        raise _fail("model.graph", f"expected a family name or edge list, got {graph!r}")
-    n = _expect_int(data.get("n", 3), "model.n", minimum=2)
-    box = data.get("box", (-0.5, 0.5))
-    if not isinstance(box, (list, tuple)) or len(box) != 2:
-        raise _fail("model.box", "expected [low, high]")
-    low = _expect_number(box[0], "model.box[0]")
-    high = _expect_number(box[1], "model.box[1]")
-    if not low < high:
-        raise _fail("model.box", f"low must be below high, got [{low}, {high}]")
-    degenerate = _expect_bool(
-        data.get("degenerate_couplings", False), "model.degenerate_couplings"
-    )
-    return ModelConfig(kind, graph, n, (low, high), degenerate)
-
-
-def _parse_experiment(data: dict) -> ExperimentConfig:
-    _check_unknown(data, {"kind", "measurement"}, "experiment")
-    return ExperimentConfig(
-        _expect_choice(data.get("kind", IQLE), "experiment.kind", EXPERIMENT_KINDS),
-        _expect_choice(
-            data.get("measurement", FULL_BASIS), "experiment.measurement", MEASUREMENT_MODES
-        ),
-    )
-
-
-def _parse_resample(data: dict) -> ResampleConfig:
-    _check_unknown(data, {"a", "threshold"}, "resample")
-    a = _expect_number(data.get("a", 0.9), "resample.a")
-    threshold = _expect_number(data.get("threshold", 0.5), "resample.threshold")
-    if not 0.0 <= a <= 1.0:
-        raise _fail("resample.a", f"must lie in [0, 1], got {a}")
-    if not 0.0 < threshold <= 1.0:
-        raise _fail("resample.threshold", f"must lie in (0, 1], got {threshold}")
-    return ResampleConfig(a, threshold)
-
-
-def _parse_evaluator(data: dict) -> EvaluatorConfig:
-    _check_unknown(data, {"mode", "n_samp", "noise"}, "evaluator")
-    mode = _expect_choice(data.get("mode", EXACT), "evaluator.mode", EVALUATOR_MODES)
-    n_samp = _expect_int(data.get("n_samp", 100), "evaluator.n_samp", minimum=1)
-    noise = _expect_number(data.get("noise", 0.0), "evaluator.noise")
-    if noise < 0:
-        raise _fail("evaluator.noise", f"must be nonnegative, got {noise}")
-    return EvaluatorConfig(mode, n_samp, noise)
-
-
-def _parse_pgh(data: dict) -> PghSettings:
-    _check_unknown(data, {"t_max", "min_separation", "max_redraws"}, "pgh")
-    t_max = _expect_number(data.get("t_max", 1e6), "pgh.t_max")
-    min_sep = _expect_number(data.get("min_separation", 1e-12), "pgh.min_separation")
-    redraws = _expect_int(data.get("max_redraws", 100), "pgh.max_redraws", minimum=1)
-    if not t_max > 0:
-        raise _fail("pgh.t_max", "must be positive")
-    if not min_sep > 0:
-        raise _fail("pgh.min_separation", "must be positive")
-    return PghSettings(t_max, min_sep, redraws)
-
-
-_TOP_FIELDS = {
-    "model", "experiment", "particles", "resample", "evaluator", "bitflip_alpha",
-    "n_experiments", "trials", "seed", "out", "pgh", "fit_window", "truth",
-}
+    Kind "single" is the one-coupling echo: the 2-qubit pair, whatever `graph` and `n` say.
+    """
+    if model.kind == "single":
+        return InteractionGraph.line(2)
+    if model.n > QUBIT_CAP:
+        raise _fail("model.n", f"must be at most {QUBIT_CAP}, got {model.n}")
+    try:
+        if isinstance(model.graph, str):
+            return getattr(InteractionGraph, model.graph)(model.n)
+        return InteractionGraph(model.n, model.graph)
+    except ValueError as exc:
+        raise _fail("model.graph", str(exc)) from None
 
 
 def parse_config(text: str) -> RunConfig:
@@ -201,48 +220,11 @@ def parse_config(text: str) -> RunConfig:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    data = _expect_mapping(data, "<config>")
-    _check_unknown(data, _TOP_FIELDS, "")
-
-    model = _parse_model(_expect_mapping(data.get("model", {}), "model"))
-    experiment = _parse_experiment(_expect_mapping(data.get("experiment", {}), "experiment"))
-    particles = _expect_int(data.get("particles", 2000), "particles", minimum=2)
-    resample = _parse_resample(_expect_mapping(data.get("resample", {}), "resample"))
-    evaluator = _parse_evaluator(_expect_mapping(data.get("evaluator", {}), "evaluator"))
-    alpha = _expect_number(data.get("bitflip_alpha", 0.0), "bitflip_alpha")
-    if not 0.0 <= alpha <= 0.5:
-        raise _fail("bitflip_alpha", f"must lie in [0, 0.5], got {alpha}")
-    n_experiments = _expect_int(data.get("n_experiments", 100), "n_experiments", minimum=1)
-    trials = _expect_int(data.get("trials", 10), "trials", minimum=1)
-    seed = _expect_int(data.get("seed", 0), "seed", minimum=0)
-    out = data.get("out")
-    if out is not None and not isinstance(out, str):
-        raise _fail("out", f"expected a path string or null, got {out!r}")
-    pgh = _parse_pgh(_expect_mapping(data.get("pgh", {}), "pgh"))
-    fit_window = _expect_number(data.get("fit_window", 0.1), "fit_window")
-    if not 0.0 <= fit_window < 1.0:
-        raise _fail("fit_window", f"must lie in [0, 1), got {fit_window}")
-    truth = data.get("truth")
-    if truth is not None:
-        if not isinstance(truth, (list, tuple)):
-            raise _fail("truth", "expected a list of couplings or null")
-        truth = tuple(_expect_number(v, f"truth[{i}]") for i, v in enumerate(truth))
-
-    return RunConfig(
-        model=model,
-        experiment=experiment,
-        particles=particles,
-        resample=resample,
-        evaluator=evaluator,
-        bitflip_alpha=alpha,
-        n_experiments=n_experiments,
-        trials=trials,
-        seed=seed,
-        out=out,
-        pgh=pgh,
-        fit_window=fit_window,
-        truth=truth,
-    )
+    config = _parse_section(RunConfig, data, "")
+    dimension = model_graph(config.model).dimension
+    if config.truth is not None and len(config.truth) != dimension:
+        raise _fail("truth", f"expected length {dimension}, got {len(config.truth)}")
+    return config
 
 
 def parse_config_file(path) -> RunConfig:
@@ -251,14 +233,8 @@ def parse_config_file(path) -> RunConfig:
 
 
 def config_to_dict(config: RunConfig) -> dict:
-    """Plain-JSON view of a config (tuples become lists)."""
-    data = asdict(config)
-    data["model"]["box"] = list(config.model.box)
-    if not isinstance(config.model.graph, str):
-        data["model"]["graph"] = [list(edge) for edge in config.model.graph]
-    if config.truth is not None:
-        data["truth"] = list(config.truth)
-    return data
+    """Plain-data view of a config; the JSON writers emit its tuples as lists."""
+    return asdict(config)
 
 
 def emit_config(config: RunConfig) -> str:

@@ -16,10 +16,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import ModelConfig, RunConfig
+from .config import ModelConfig, RunConfig, model_graph
 from .design import PghConfig, pgh
 from .errors import DegenerateCloud, InsufficientData, ZeroTotalWeight
-from .models import TWO_OUTCOME, InteractionGraph, IsingModel
+from .models import TWO_OUTCOME, IsingModel
 from .simulate import LikelihoodEvaluator, sample_outcome
 from .smc import (
     ParticleCloud,
@@ -92,19 +92,8 @@ class EnsembleResult:
 
 
 def build_model(model_config: ModelConfig) -> IsingModel:
-    """Instantiate the likelihood model described by a config block.
-
-    Kind "single" is the one-coupling echo: the 2-qubit pair, whatever the
-    configured graph and qubit count.
-    """
-    if model_config.kind == "single":
-        return IsingModel(InteractionGraph.line(2), box=model_config.box)
-    if isinstance(model_config.graph, str):
-        maker = getattr(InteractionGraph, model_config.graph)
-        graph = maker(model_config.n)
-    else:
-        graph = InteractionGraph(model_config.n, tuple(model_config.graph))
-    return IsingModel(graph, box=model_config.box)
+    """Instantiate the likelihood model described by a config block."""
+    return IsingModel(model_graph(model_config), box=model_config.box)
 
 
 def build_evaluator(config: RunConfig, model: Optional[IsingModel] = None) -> LikelihoodEvaluator:
@@ -424,7 +413,7 @@ def scaling_study(
         rows.append(
             ScalingRow(
                 n=int(n),
-                dimension=build_model(config.model).dimension,
+                dimension=model_graph(config.model).dimension,
                 median_gamma=float(np.median(gammas)),
                 trials_fit=len(gammas),
             )

@@ -1,9 +1,11 @@
 """Unit tests for config parsing/emission and the command-line interface."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -98,6 +100,66 @@ class TestRoundTrip:
         assert parse_config(emit_config(config)) == config
 
 
+def leaf_fields(cls=RunConfig, prefix=""):
+    """(dotted path, field) for every leaf field of the config schema."""
+    for f in fields(cls):
+        if is_dataclass(f.default_factory):
+            yield from leaf_fields(f.default_factory, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, f
+
+
+def config_setting(path, value):
+    """JSON config text that sets one dotted field path to `value`."""
+    for key in reversed(path.split(".")):
+        value = {key: value}
+    return json.dumps(value)
+
+
+# One out-of-range value per bounded field and its full message, pinned so
+# that a change to the parser keeps the text users see.
+OUT_OF_RANGE = {
+    "model.n": (1, "model.n: must be at least 2, got 1"),
+    "model.box": ([1.0, -1.0], "model.box: low must be below high, got [1.0, -1.0]"),
+    "particles": (1, "particles: must be at least 2, got 1"),
+    "resample.a": (1.5, "resample.a: must lie in [0, 1], got 1.5"),
+    "resample.threshold": (0, "resample.threshold: must lie in (0, 1], got 0.0"),
+    "evaluator.n_samp": (0, "evaluator.n_samp: must be at least 1, got 0"),
+    "evaluator.noise": (-0.1, "evaluator.noise: must be nonnegative, got -0.1"),
+    "bitflip_alpha": (0.7, "bitflip_alpha: must lie in [0, 0.5], got 0.7"),
+    "n_experiments": (0, "n_experiments: must be at least 1, got 0"),
+    "trials": (0, "trials: must be at least 1, got 0"),
+    "seed": (-1, "seed: must be at least 0, got -1"),
+    "pgh.t_max": (0, "pgh.t_max: must be positive"),
+    "pgh.min_separation": (0, "pgh.min_separation: must be positive"),
+    "pgh.max_redraws": (0, "pgh.max_redraws: must be at least 1, got 0"),
+    "fit_window": (1.0, "fit_window: must lie in [0, 1), got 1.0"),
+}
+
+
+class TestSchema:
+    @pytest.mark.parametrize("path", [path for path, _ in leaf_fields()])
+    def test_every_field_rejects_a_wrong_type(self, path):
+        with pytest.raises(SchemaError) as info:
+            parse_config(config_setting(path, {"not": "a value"}))
+        assert str(info.value).startswith(f"{path}: expected ")
+
+    @pytest.mark.parametrize("path", sorted(OUT_OF_RANGE))
+    def test_out_of_range_message(self, path):
+        value, message = OUT_OF_RANGE[path]
+        with pytest.raises(SchemaError) as info:
+            parse_config(config_setting(path, value))
+        assert str(info.value) == message
+
+    def test_out_of_range_table_covers_every_bounded_field(self):
+        bounded = {path for path, f in leaf_fields() if f.metadata.get("bound")}
+        assert bounded and bounded <= set(OUT_OF_RANGE)
+
+    def test_single_kind_ignores_n(self):
+        config = parse_config('{"model": {"kind": "single", "n": 1000}, "truth": [0.1]}')
+        assert config.model.n == 1000
+
+
 def write_config(tmp_path, **extra):
     payload = {
         "model": {"kind": "single"},
@@ -157,6 +219,44 @@ class TestCli:
             argv += ["--n", "2", "3"]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
+        assert not os.path.exists(out_dir)
+
+    @pytest.mark.parametrize("setting, path", [
+        ({"model": {"box": [-math.inf, 0]}}, "model.box[0]"),
+        ({"model": {"graph": "complete", "n": 3}, "truth": [math.nan, 0, 0]}, "truth[0]"),
+        ({"pgh": {"min_separation": math.inf}}, "pgh.min_separation"),
+        ({"pgh": {"t_max": math.inf}}, "pgh.t_max"),
+        ({"evaluator": {"noise": math.inf}}, "evaluator.noise"),
+    ])
+    def test_non_finite_numbers_rejected(self, tmp_path, capsys, setting, path):
+        # json.dumps writes inf and nan as the Infinity and NaN that json.loads reads.
+        self.assert_learn_rejects(tmp_path, capsys, setting, path)
+
+    @pytest.mark.parametrize("setting, path", [
+        ({"model": {"graph": [[0, 5]], "n": 3}}, "model.graph"),
+        ({"model": {"graph": [[1, 0]], "n": 3}}, "model.graph"),
+        ({"model": {"graph": [[0, 1], [0, 1]], "n": 3}}, "model.graph"),
+        ({"model": {"graph": "complete", "n": 3}, "truth": [0.1, 0.2]}, "truth"),
+        ({"model": {"kind": "single"}, "truth": [0.1, 0.2, 0.3]}, "truth"),
+        ({"model": {"graph": "line", "n": 15}}, "model.n"),
+    ])
+    def test_model_block_checked_as_a_whole(self, tmp_path, capsys, setting, path):
+        self.assert_learn_rejects(tmp_path, capsys, setting, path)
+
+    @staticmethod
+    def assert_learn_rejects(tmp_path, capsys, setting, path):
+        config_path = write_config(tmp_path, **setting)
+        out_dir = str(tmp_path / "results")
+        assert main(["learn", "--config", config_path, "--out", out_dir]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        assert not os.path.exists(out_dir)
+
+    def test_scaling_sizes_pass_model_checks(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, model={"graph": "line"})
+        out_dir = str(tmp_path / "results")
+        argv = ["scaling", "--config", config_path, "--out", out_dir, "--n", "3", "15"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: --n: model.n: must be at most 14")
         assert not os.path.exists(out_dir)
 
     @pytest.mark.parametrize("flags, named", [
