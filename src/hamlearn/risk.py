@@ -63,32 +63,6 @@ class RiskPoint:
             raise ValueError("risk must be nonnegative")
 
 
-def posterior_mean_1d(d: int, prior: GaussianPrior1D, x_inv: float, t: float) -> float:
-    """Closed-form posterior mean after observing outcome d in {0, 1}.
-
-    Evaluated in complex arithmetic; the imaginary residue is discarded once
-    it is confirmed to be rounding-level.  Overflow of the exp terms at very
-    large t is benign: the ratio underflows to 0 and the prior mean returns.
-    """
-    if d not in (0, 1):
-        raise ValueError("outcome must be 0 or 1")
-    mu, sigma = prior.mu, prior.sigma
-    sign = 1 - 2 * d
-    with np.errstate(over="ignore", invalid="ignore"):
-        oscillation = np.exp(4j * mu * t) - np.exp(4j * x_inv * t)
-        numerator = 2j * sign * sigma**2 * t * oscillation
-        denominator = 2.0 * np.exp(2.0 * t * (1j * (mu + x_inv) + sigma**2 * t)) + sign * (
-            np.exp(4j * mu * t) + np.exp(4j * x_inv * t)
-        )
-        ratio = numerator / denominator
-    if not np.isfinite(ratio):
-        return mu
-    value = complex(mu + ratio)
-    if abs(value.imag) > 1e-8 * max(1.0, abs(value.real)):
-        raise ArithmeticError(f"posterior mean came out complex: {value}")
-    return value.real
-
-
 def _quad(f: Callable[[float], float], lo: float, hi: float) -> float:
     with warnings.catch_warnings():
         # non-convergence is reported through QuadratureFailure instead
@@ -175,14 +149,20 @@ def _posterior_moments(prior: GaussianPrior1D, x_inv: float, t: float,
     return results
 
 
-def quadrature_posterior_mean_1d(
-    d: int, prior: GaussianPrior1D, x_inv: float, t: float
-) -> float:
-    """Posterior mean by adaptive quadrature; reference for the closed form."""
+def _posterior_mean(d: int, prior: GaussianPrior1D, x_inv: float, t: float, raw_moments) -> float:
     if d not in (0, 1):
         raise ValueError("outcome must be 0 or 1")
-    moments = _posterior_moments(prior, x_inv, t, _quadrature_moments)
-    return moments[d][1]
+    return _posterior_moments(prior, x_inv, t, raw_moments)[d][1]
+
+
+def posterior_mean_1d(d: int, prior: GaussianPrior1D, x_inv: float, t: float) -> float:
+    """Posterior mean after observing outcome d in {0, 1}, in closed form."""
+    return _posterior_mean(d, prior, x_inv, t, _closed_form_moments)
+
+
+def quadrature_posterior_mean_1d(d: int, prior: GaussianPrior1D, x_inv: float, t: float) -> float:
+    """Posterior mean by adaptive quadrature; reference for the closed form."""
+    return _posterior_mean(d, prior, x_inv, t, _quadrature_moments)
 
 
 def _risk(prior: GaussianPrior1D, x_inv: float, t: float, alpha: float, raw_moments) -> float:
