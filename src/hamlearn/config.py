@@ -4,8 +4,8 @@ Configs are JSON text with a fixed field set.  Each dataclass field declares
 its default, JSON kind and bound once, in its metadata; one walker over
 `dataclasses.fields` parses every section, rejects unknown fields and
 non-finite numbers, and names the field's dotted path in every error.  Then
-`model_graph` checks the model block as a whole.  Configs built in Python
-are taken as given.  `parse_config(emit_config(cfg))` round-trips exactly.
+`model_graph` checks the model block as a whole; in configs built in Python
+it is the only check.  `parse_config(emit_config(cfg))` round-trips exactly.
 """
 
 from __future__ import annotations
