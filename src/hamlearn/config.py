@@ -116,7 +116,7 @@ def _convert(value, path: str, kind, bound=None):
     return value
 
 
-def _parse_section(cls, data, path: str):
+def _walk_fields(cls, data, path: str):
     """Walk the fields of `cls` over a JSON object; absent fields keep their defaults."""
     if not isinstance(data, dict):
         raise _fail(path or "<config>", f"expected an object, got {type(data).__name__}")
@@ -129,7 +129,7 @@ def _parse_section(cls, data, path: str):
     for name, f in known.items():
         if name in data:
             # A field with no kind is a section: a nested config dataclass.
-            kind = f.metadata.get("kind") or partial(_parse_section, f.default_factory)
+            kind = f.metadata.get("kind") or partial(_walk_fields, f.default_factory)
             values[name] = _convert(data[name], prefix + name, kind, f.metadata.get("bound"))
     return cls(**values)
 
@@ -220,7 +220,7 @@ def parse_config(text: str) -> RunConfig:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    config = _parse_section(RunConfig, data, "")
+    config = _walk_fields(RunConfig, data, "")
     dimension = model_graph(config.model).dimension
     if config.truth is not None and len(config.truth) != dimension:
         raise _fail("truth", f"expected length {dimension}, got {len(config.truth)}")
