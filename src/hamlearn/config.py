@@ -83,10 +83,12 @@ def _graph(value, path: str):
         return _one_of(("complete", "line"))(value, path)
     if not isinstance(value, (list, tuple)):
         raise _fail(path, f"expected a family name or edge list, got {value!r}")
-    try:
-        return tuple((int(i), int(j)) for i, j in value)
-    except (TypeError, ValueError, OverflowError):
-        raise _fail(path, "edge list must contain [i, j] pairs") from None
+    edges = []
+    for k, pair in enumerate(value):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise _fail(path, "edge list must contain [i, j] pairs")
+        edges.append(tuple(_integer(v, f"{path}[{k}][{m}]") for m, v in enumerate(pair)))
+    return tuple(edges)
 
 
 # Bounds: (holds, message); the message formats the rejected value.

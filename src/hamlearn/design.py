@@ -56,14 +56,18 @@ def pgh(cloud: ParticleCloud, cfg: PghConfig, rng: np.random.Generator) -> Exper
     Raises DegenerateCloud when the cloud has collapsed (all positions equal,
     or every redraw landed on the first draw's position).
     """
-    if np.all(cloud.positions == cloud.positions[0]):
+    positions = cloud.positions
+    # The first coupling column is a cheap screen: the full compare runs only
+    # when that column is constant.
+    if (np.all(positions[:, 0] == positions[0, 0])
+            and np.all(positions == positions[0])):
         raise DegenerateCloud("all particles occupy one position")
     # Each draw is rng.choice(size, p=weights), without re-summing the weights.
     cdf = weight_cdf(cloud.weights)
-    first = cloud.positions[cdf.searchsorted(rng.random(), side="right")]
+    first = positions[cdf.searchsorted(rng.random(), side="right")]
     distance = 0.0
     for _ in range(cfg.max_redraws):
-        second = cloud.positions[cdf.searchsorted(rng.random(), side="right")]
+        second = positions[cdf.searchsorted(rng.random(), side="right")]
         distance = float(np.linalg.norm(second - first))
         if distance >= cfg.min_separation:
             break

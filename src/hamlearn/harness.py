@@ -10,7 +10,6 @@ decay-exponent fits summarize how fast the loss shrinks.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -211,18 +210,21 @@ def run_trial(
             )
             sim_calls += evaluator.calls_per_update(cloud.size)
             cloud = update.cloud
+            ess = update.ess
             if update.resample_due:
                 cloud = liu_west_resample(cloud, config.resample.a, rng)
                 resampled = True
+                ess = effective_sample_size(cloud)
         except ZeroTotalWeight:
             sim_calls += evaluator.calls_per_update(cloud.size)
             skips += 1
             skipped = True
+            ess = effective_sample_size(cloud)
         records.append(
             ExperimentRecord(
                 index=index,
                 loss=quadratic_loss(posterior_mean(cloud), truth),
-                ess=effective_sample_size(cloud),
+                ess=ess,
                 resampled=resampled,
                 time=spec.time,
                 sim_calls=sim_calls,
@@ -266,6 +268,9 @@ def run_ensemble(
     if threads == 1 or config.trials == 1:
         trajectories = [_run_one_seeded_trial(job) for job in jobs]
     else:
+        # Imported only when a pool starts: inline runs skip its start-up cost.
+        from concurrent.futures import ProcessPoolExecutor
+
         workers = threads if threads > 0 else None
         with ProcessPoolExecutor(max_workers=workers) as pool:
             trajectories = list(pool.map(_run_one_seeded_trial, jobs))
@@ -285,11 +290,18 @@ def run_ensemble(
 
 def summarize_losses(trajectories: Sequence[LossTrajectory]) -> np.ndarray:
     """Rows (index, p25, p50, p75) across trials, linear-interpolated."""
-    length = max((len(t) for t in trajectories), default=0)
+    lengths = [len(t) for t in trajectories]
+    length = max(lengths, default=0)
+    shared = min(lengths, default=0)
     rows = np.empty((length, 4))
-    for index in range(length):
+    rows[:, 0] = np.arange(length)
+    # One call over the indices every trial reached; only the ragged tail,
+    # past the trials that converged early, goes index by index.
+    if shared:
+        losses = np.array([[r.loss for r in t.records[:shared]] for t in trajectories])
+        rows[:shared, 1:] = np.percentile(losses, [25.0, 50.0, 75.0], axis=0).T
+    for index in range(shared, length):
         values = [t.records[index].loss for t in trajectories if len(t) > index]
-        rows[index, 0] = index
         rows[index, 1:] = np.percentile(values, [25.0, 50.0, 75.0])
     return rows
 

@@ -59,8 +59,7 @@ class ParticleCloud:
             )
         if not np.all(np.isfinite(positions)):
             raise ValueError("particle positions must be finite")
-        if not np.all(np.isfinite(weights)) or np.any(weights < 0):
-            raise ValueError("weights must be finite and nonnegative")
+        _check_weights(weights)
         object.__setattr__(self, "positions", _frozen(positions))
         object.__setattr__(self, "weights", _frozen(weights))
 
@@ -73,6 +72,11 @@ class ParticleCloud:
         return self.positions.shape[1]
 
 
+def _check_weights(weights: np.ndarray) -> None:
+    if not np.all(np.isfinite(weights)) or np.any(weights < 0):
+        raise ValueError("weights must be finite and nonnegative")
+
+
 def _frozen(array: np.ndarray) -> np.ndarray:
     """`array` if it is read-only, C-contiguous and owns its data, else a frozen copy."""
     flags = array.flags
@@ -80,6 +84,23 @@ def _frozen(array: np.ndarray) -> np.ndarray:
         array = array.copy()
     array.setflags(write=False)
     return array
+
+
+def _freeze(array: np.ndarray) -> np.ndarray:
+    """Mark read-only, in place, a fresh array that nothing else references,
+    so that a cloud built on it shares it instead of copying it."""
+    array.setflags(write=False)
+    return array
+
+
+def _reweighted(cloud: ParticleCloud, weights: np.ndarray) -> ParticleCloud:
+    """`cloud`'s positions with fresh `weights`.  The positions were checked
+    and frozen when `cloud` was built, so only the weights are checked."""
+    _check_weights(weights)
+    updated = object.__new__(ParticleCloud)
+    object.__setattr__(updated, "positions", cloud.positions)
+    object.__setattr__(updated, "weights", _freeze(weights))
+    return updated
 
 
 class BayesUpdate(NamedTuple):
@@ -126,7 +147,7 @@ def bayes_update(
     if total <= 0.0:
         raise ZeroTotalWeight("outcome has zero likelihood under every hypothesis")
     weights /= total
-    updated = ParticleCloud(cloud.positions, _frozen(weights))
+    updated = _reweighted(cloud, weights)
     ess = effective_sample_size(updated)
     return BayesUpdate(updated, ess, ess < resample_threshold * updated.size)
 
@@ -210,9 +231,9 @@ def liu_west_resample(
     counts = np.diff(edges, prepend=0.0).astype(np.intp)
     parents = np.repeat(cloud.positions, counts, axis=0)
     del edges, counts  # freed before the moments, to keep the peak memory down
-    uniform = _frozen(np.full(n, 1.0 / n))
+    uniform = _freeze(np.full(n, 1.0 / n))
     if a == 1.0:
-        return ParticleCloud(_frozen(parents), uniform)
+        return ParticleCloud(_freeze(parents), uniform)
     mean, work, cov = _moments(cloud)
     scale = np.sqrt(1.0 - a * a) * _cholesky_with_jitter(cov)
     # a * parent + (1 - a) * mean + kick, in place in the parents' array; the
@@ -220,7 +241,7 @@ def liu_west_resample(
     parents *= a
     parents += (1.0 - a) * mean
     parents += rng.standard_normal(out=work) @ scale.T
-    return ParticleCloud(_frozen(parents), uniform)
+    return ParticleCloud(_freeze(parents), uniform)
 
 
 def weight_cdf(weights: np.ndarray) -> np.ndarray:

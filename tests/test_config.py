@@ -243,6 +243,20 @@ class TestCli:
     def test_model_block_checked_as_a_whole(self, tmp_path, capsys, setting, path):
         self.assert_learn_rejects(tmp_path, capsys, setting, path)
 
+    @pytest.mark.parametrize("graph, message", [
+        ([[0, 1.7], ["1", 2.9]], "model.graph[0][1]: expected an integer, got 1.7"),
+        ([[0, 1], ["1", 2]], "model.graph[1][0]: expected an integer, got '1'"),
+        ([[True, 1]], "model.graph[0][0]: expected an integer, got True"),
+        ([[0, 1.0]], "model.graph[0][1]: expected an integer, got 1.0"),
+    ], ids=["float", "string", "boolean", "integral-float"])
+    def test_edge_endpoints_must_be_json_integers(self, tmp_path, capsys, graph, message):
+        # int() would read each of these as some valid-looking edge list.
+        config_path = write_config(tmp_path, model={"graph": graph, "n": 3})
+        out_dir = str(tmp_path / "results")
+        assert main(["learn", "--config", config_path, "--out", out_dir]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not os.path.exists(out_dir)
+
     @staticmethod
     def assert_learn_rejects(tmp_path, capsys, setting, path):
         config_path = write_config(tmp_path, **setting)

@@ -29,6 +29,15 @@ class TestPgh:
         with pytest.raises(DegenerateCloud):
             pgh(cloud, PghConfig(), np.random.default_rng(1))
 
+    def test_only_a_later_column_differs(self):
+        # The first coupling column is constant, so only the full compare sees
+        # that the last particle sits elsewhere: the cloud has not collapsed.
+        positions = np.full((50, 3), 1.3)
+        positions[-1, 2] = 1.4
+        weights = np.append(np.full(49, 0.5 / 49), 0.5)
+        spec = pgh(ParticleCloud(positions, weights), PghConfig(), np.random.default_rng(3))
+        assert spec.time == pytest.approx(10.0)
+
     def test_redraw_exhaustion_raises(self):
         # Two distinct positions but all mass on one: the second draw can
         # never be distinct, so the redraw budget runs out.

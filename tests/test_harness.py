@@ -1,6 +1,9 @@
 """Unit tests for trial orchestration, aggregation, and decay fitting."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +12,8 @@ from hamlearn.config import EvaluatorConfig, ExperimentConfig, ModelConfig, RunC
 from hamlearn.design import PghConfig, pgh
 from hamlearn.errors import InsufficientData
 from hamlearn.harness import (
+    ExperimentRecord,
+    LossTrajectory,
     build_model,
     draw_prior_cloud,
     draw_truth,
@@ -299,6 +304,15 @@ class TestRunEnsemble:
                 base.trajectories[old_idx].losses(),
             )
 
+    def test_inline_runs_skip_the_process_pool(self):
+        # The pool module is imported only when a pool starts.
+        code = ("import sys, hamlearn.cli, hamlearn.harness; "
+                "print('concurrent.futures.process' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True).stdout
+        assert out.strip() == "False"
+
     def test_parallel_matches_serial(self):
         config = single_param_config(trials=4, seed=21)
         serial = run_ensemble(config, threads=1)
@@ -307,21 +321,42 @@ class TestRunEnsemble:
             np.testing.assert_array_equal(a.losses(), b.losses())
 
 
+def make_trajectory(losses):
+    records = tuple(
+        ExperimentRecord(i, loss, 1.0, False, 1.0, i, 0.0)
+        for i, loss in enumerate(losses)
+    )
+    return LossTrajectory(records, np.zeros(1))
+
+
 class TestSummarizeLosses:
     def test_uneven_lengths(self):
-        from hamlearn.harness import ExperimentRecord, LossTrajectory
-
-        def make(losses):
-            records = tuple(
-                ExperimentRecord(i, loss, 1.0, False, 1.0, i, 0.0)
-                for i, loss in enumerate(losses)
-            )
-            return LossTrajectory(records, np.zeros(1))
-
-        summary = summarize_losses([make([4.0, 2.0]), make([8.0])])
+        summary = summarize_losses([make_trajectory([4.0, 2.0]), make_trajectory([8.0])])
         assert summary.shape == (2, 4)
         assert summary[0, 2] == pytest.approx(6.0)
         assert summary[1, 2] == pytest.approx(2.0)  # only the longer trial
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_per_index_percentiles(self, seed):
+        # The reference is one percentile call per experiment index, over the
+        # trials that reached it.  The first trial converged early; on odd
+        # seeds another converged before its first experiment.
+        rng = np.random.default_rng(seed)
+        lengths = [int(rng.integers(1, 8))] + list(rng.integers(8, 30, int(rng.integers(2, 8))))
+        if seed % 2:
+            lengths.append(0)
+        trajectories = [make_trajectory(rng.lognormal(-3.0, 2.0, n)) for n in lengths]
+        summary = summarize_losses(trajectories)
+        length = max(lengths)
+        assert summary.shape == (length, 4)
+        for index in range(length):
+            values = [t.records[index].loss for t in trajectories if len(t) > index]
+            assert summary[index, 0] == index
+            np.testing.assert_array_equal(summary[index, 1:],
+                                          np.percentile(values, [25.0, 50.0, 75.0]))
+
+    def test_no_trials(self):
+        assert summarize_losses([]).shape == (0, 4)
 
 
 class TestScalingStudy:

@@ -1,6 +1,9 @@
 """Unit tests for the expected-loss (risk) analysis."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -264,3 +267,25 @@ class TestRiskScan:
         for draws in (0, 1):
             with pytest.raises(ValueError, match="at least 2 draws"):
                 risk_scan(GaussianPrior1D(0.5, 0.1), "pgh", [1.0], rng=rng, pgh_draws=draws)
+
+
+class TestLazyQuadrature:
+    def test_closed_form_scan_skips_scipy_integrate(self):
+        # The closed forms need no quadrature, so a scan leaves scipy.integrate
+        # unloaded; the quadrature reference loads it on its first call.
+        code = ("import sys\n"
+                "import numpy as np\n"
+                "from hamlearn.risk import GaussianPrior1D, quadrature_bayes_risk_1d, risk_scan\n"
+                "prior = GaussianPrior1D(0.5, 0.1)\n"
+                "for strategy in ('none', 'mean_plus_sigma', 'pgh'):\n"
+                "    risk_scan(prior, strategy, [1.0, 5.0], alpha=0.1,\n"
+                "              rng=np.random.default_rng(0), pgh_draws=4)\n"
+                "print('scipy.integrate' in sys.modules)\n"
+                "print(quadrature_bayes_risk_1d(prior, 0.6, 5.0, 0.1))\n"
+                "print('scipy.integrate' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True).stdout.split()
+        assert out[0] == "False" and out[2] == "True"
+        prior = GaussianPrior1D(0.5, 0.1)
+        assert float(out[1]) == pytest.approx(bayes_risk_1d(prior, 0.6, 5.0, 0.1), rel=1e-8)

@@ -77,6 +77,12 @@ class TestBayesUpdate:
         # the caller's cloud is untouched
         np.testing.assert_allclose(cloud.weights, [0.5, 0.5])
 
+    def test_nan_likelihood_rejected(self):
+        # The update skips the check of the positions it shares, not of its weights.
+        cloud = ParticleCloud([[0.0], [1.0]], [0.5, 0.5])
+        with pytest.raises(ValueError, match="weights must be finite"):
+            bayes_update(cloud, 0, None, _ConstantModel([0.5, math.nan]))
+
     def test_update_shares_frozen_positions(self):
         # The update keeps the read-only positions it was given; a writable
         # array handed to a cloud is still copied.
