@@ -151,13 +151,10 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _cmd_validate(args) -> int:
-    from .risk import (GaussianPrior1D, bayes_risk_1d, posterior_mean_1d,
-                       quadrature_bayes_risk_1d, quadrature_posterior_mean_1d)
-
-    rng = np.random.default_rng(args.seed or 0)
-    failures = 0
-
+def oracle_sweep(rng: np.random.Generator, instances: int):
+    """Worst gaps of `outcome_distribution` and of `likelihood` (every outcome)
+    to `dense_oracle_distribution`, over `instances` random IQLE experiments
+    per small graph in both measurement modes, and each graph's kernel."""
     graphs = [(f"{maker.__name__}({n})", maker(n)) for n in (2, 3, 4, 5)
               for maker in (InteractionGraph.complete, InteractionGraph.line)]
     graphs += [("5-cycle", InteractionGraph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))),
@@ -167,7 +164,7 @@ def _cmd_validate(args) -> int:
     for label, graph in graphs:
         model = IsingModel(graph)
         kernels.append(f"{label} {model.kernel}")
-        for _ in range(args.instances):
+        for _ in range(instances):
             x = rng.uniform(-0.5, 0.5, graph.dimension)
             inversion = rng.uniform(-0.5, 0.5, graph.dimension)
             t = rng.uniform(0.001, 100.0)
@@ -179,22 +176,32 @@ def _cmd_validate(args) -> int:
                 if measurement == FULL_BASIS:
                     gap = np.max(np.abs(model.outcome_distribution(x, spec) - oracle))
                     worst = max(worst, float(gap))
-    ok = worst < 1e-9
-    failures += not ok
-    print(f"{'PASS' if ok else 'FAIL'} fast path vs dense reference: max gap {worst:.3e}")
-    ok = worst_kernel < 1e-9
-    failures += not ok
-    print(f"{'PASS' if ok else 'FAIL'} likelihood kernel vs dense reference, every outcome: "
-          f"max gap {worst_kernel:.3e}")
+    return worst, worst_kernel, kernels
+
+
+def _cmd_validate(args) -> int:
+    from .risk import (GaussianPrior1D, bayes_risk_1d, posterior_mean_1d,
+                       quadrature_bayes_risk_1d, quadrature_posterior_mean_1d)
+
+    rng = np.random.default_rng(args.seed or 0)
+    passed = []
+
+    def report(ok: bool, message: str) -> None:
+        passed.append(ok)
+        print(f"{'PASS' if ok else 'FAIL'} {message}")
+
+    worst, worst_kernel, kernels = oracle_sweep(rng, args.instances)
+    report(worst < 1e-9, f"fast path vs dense reference: max gap {worst:.3e}")
+    report(worst_kernel < 1e-9, "likelihood kernel vs dense reference, every outcome: "
+           f"max gap {worst_kernel:.3e}")
     print("kernels: " + ", ".join(kernels))
 
     graph = InteractionGraph.complete(4)
     model = IsingModel(graph)
     x = rng.uniform(-0.5, 0.5, graph.dimension)
     echo = model.outcome_distribution(x, ExperimentSpec(IQLE, 11.7, x, FULL_BASIS))
-    ok = abs(echo[0] - 1.0) < 1e-12
-    failures += not ok
-    print(f"{'PASS' if ok else 'FAIL'} perfect echo at matching inversion: P = {float(echo[0])!r}")
+    report(abs(echo[0] - 1.0) < 1e-12,
+           f"perfect echo at matching inversion: P = {float(echo[0])!r}")
 
     pair = IsingModel(InteractionGraph.line(2))
     gap = 0.0
@@ -204,9 +211,7 @@ def _cmd_validate(args) -> int:
         spec = ExperimentSpec(IQLE, rng.uniform(0.01, 50.0), [inversion], TWO_OUTCOME)
         closed = single_param_likelihood(0, x, inversion, spec.time)
         gap = max(gap, abs(pair.likelihood(0, [x], spec) - closed))
-    ok = gap < 1e-12
-    failures += not ok
-    print(f"{'PASS' if ok else 'FAIL'} 2-qubit pair vs one-coupling closed form: max gap {gap:.3e}")
+    report(gap < 1e-12, f"2-qubit pair vs one-coupling closed form: max gap {gap:.3e}")
 
     prior = GaussianPrior1D(0.5, 0.1)
     gap = risk_gap = 0.0
@@ -223,15 +228,11 @@ def _cmd_validate(args) -> int:
                 bayes_risk_1d(prior, x_inv, t, alpha)
                 - quadrature_bayes_risk_1d(prior, x_inv, t, alpha)
             ) / prior.sigma**2)
-    ok = gap < 1e-6
-    failures += not ok
-    print(f"{'PASS' if ok else 'FAIL'} closed-form posterior mean vs quadrature: max gap {gap:.3e}")
-    ok = risk_gap < 1e-9
-    failures += not ok
-    print(f"{'PASS' if ok else 'FAIL'} closed-form risk vs quadrature: "
-          f"max gap {risk_gap:.3e} sigma^2")
+    report(gap < 1e-6, f"closed-form posterior mean vs quadrature: max gap {gap:.3e}")
+    report(risk_gap < 1e-9,
+           f"closed-form risk vs quadrature: max gap {risk_gap:.3e} sigma^2")
 
-    return 1 if failures else 0
+    return 0 if all(passed) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

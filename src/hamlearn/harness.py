@@ -27,7 +27,6 @@ from .smc import (
     liu_west_resample,
     posterior_mean,
     quadratic_loss,
-    uniform_cloud,
 )
 
 
@@ -46,12 +45,10 @@ class ExperimentRecord:
 
 @dataclass(frozen=True)
 class LossTrajectory:
-    """Per-experiment records for one trial, plus trial-level outcome flags."""
+    """Per-experiment records for one trial, and the truth it learned."""
 
     records: Tuple[ExperimentRecord, ...]
     truth: np.ndarray
-    converged: bool = False
-    zero_weight_skips: int = 0
 
     def losses(self) -> np.ndarray:
         return np.array([r.loss for r in self.records])
@@ -95,28 +92,31 @@ def build_model(model_config: ModelConfig) -> IsingModel:
     return IsingModel(model_graph(model_config), box=model_config.box)
 
 
-def build_evaluator(config: RunConfig, model: Optional[IsingModel] = None) -> LikelihoodEvaluator:
-    model = model if model is not None else build_model(config.model)
-    return LikelihoodEvaluator(
-        model,
-        mode=config.evaluator.mode,
-        n_samp=config.evaluator.n_samp,
-        noise=config.evaluator.noise,
-    )
-
-
-# Per-edge jitter applied to near-degenerate truth draws (variance 1e-4).
+# Per-edge jitter applied to near-degenerate prior draws (variance 1e-4).
 DEGENERATE_JITTER_STD = 1e-2
 
 
-def draw_truth(config: RunConfig, model: IsingModel, rng: np.random.Generator) -> np.ndarray:
-    """Sample a true coupling vector per the config's conventions.
+def draw_prior(
+    config: RunConfig, model: IsingModel, size: int, rng: np.random.Generator
+) -> np.ndarray:
+    """`size` coupling vectors drawn from the config's prior, shape (size, d).
 
-    Fixed-truth mode returns the configured vector.  Degenerate mode draws a
-    single shared value uniformly on the box and adds small Gaussian jitter
-    per edge (clipped back into the box); otherwise every coupling is drawn
-    uniformly on the box.
+    Plain runs draw every coupling uniformly on the box.  Near-degenerate
+    runs draw one shared value per row uniformly on the first edge's range
+    and add small Gaussian jitter per edge, clipped back into the box, so
+    the learning problem is effectively one-dimensional until the shared
+    value is pinned down.
     """
+    box = model.box
+    if not config.model.degenerate_couplings:
+        return rng.uniform(box[:, 0], box[:, 1], size=(size, model.dimension))
+    shared = rng.uniform(box[0, 0], box[0, 1], size=(size, 1))
+    positions = shared + rng.normal(0.0, DEGENERATE_JITTER_STD, size=(size, model.dimension))
+    return np.clip(positions, box[:, 0], box[:, 1])
+
+
+def draw_truth(config: RunConfig, model: IsingModel, rng: np.random.Generator) -> np.ndarray:
+    """The configured true coupling vector, or one draw from the prior."""
     if config.truth is not None:
         truth = np.asarray(config.truth, dtype=float)
         if truth.shape[0] != model.dimension:
@@ -124,33 +124,14 @@ def draw_truth(config: RunConfig, model: IsingModel, rng: np.random.Generator) -
                 f"configured truth has {truth.shape[0]} couplings, model needs {model.dimension}"
             )
         return truth
-    box = model.box
-    if config.model.degenerate_couplings:
-        shared = rng.uniform(box[0, 0], box[0, 1])
-        truth = shared + rng.normal(0.0, DEGENERATE_JITTER_STD, size=model.dimension)
-        return np.clip(truth, box[:, 0], box[:, 1])
-    return rng.uniform(box[:, 0], box[:, 1], size=model.dimension)
+    return draw_prior(config, model, 1, rng)[0]
 
 
 def draw_prior_cloud(
     config: RunConfig, model: IsingModel, rng: np.random.Generator
 ) -> ParticleCloud:
-    """Initial particle cloud matching the config's truth-generating prior.
-
-    Plain runs start i.i.d. uniform over the parameter box.  Near-degenerate
-    runs start with the same structure used to draw their truths: one shared
-    value uniform on the box per particle, plus small per-edge jitter
-    (clipped back into the box), so the learning problem is effectively
-    one-dimensional until the shared value is pinned down.
-    """
-    if not config.model.degenerate_couplings:
-        return uniform_cloud(model.box, config.particles, rng)
-    box = model.box
-    shared = rng.uniform(box[0, 0], box[0, 1], size=config.particles)
-    positions = shared[:, None] + rng.normal(
-        0.0, DEGENERATE_JITTER_STD, size=(config.particles, model.dimension)
-    )
-    positions = np.clip(positions, box[:, 0], box[:, 1])
+    """Initial particle cloud: `config.particles` prior draws, uniform weights."""
+    positions = draw_prior(config, model, config.particles, rng)
     return ParticleCloud(positions, np.full(config.particles, 1.0 / config.particles))
 
 
@@ -174,12 +155,17 @@ def run_trial(
     """Run one learning trial of `config.n_experiments` experiments.
 
     `designer(cloud, rng) -> ExperimentSpec` defaults to the particle guess
-    heuristic.  A zero-total-weight update is logged and skipped (the
+    heuristic.  A zero-total-weight update is recorded as skipped (the
     experiment still consumes an index); a collapsed cloud ends the trial
-    early with the trajectory marked converged.
+    early, with fewer than `config.n_experiments` records.
     """
     model = model if model is not None else build_model(config.model)
-    evaluator = build_evaluator(config, model)
+    evaluator = LikelihoodEvaluator(
+        model,
+        mode=config.evaluator.mode,
+        n_samp=config.evaluator.n_samp,
+        noise=config.evaluator.noise,
+    )
     truth = np.asarray(truth, dtype=float)
     if designer is None:
         pgh_cfg = _pgh_config(config)
@@ -188,14 +174,11 @@ def run_trial(
     cloud = draw_prior_cloud(config, model, rng)
     records: List[ExperimentRecord] = []
     sim_calls = 0
-    skips = 0
-    converged = False
 
     for index in range(config.n_experiments):
         try:
             spec = designer(cloud, rng)
         except DegenerateCloud:
-            converged = True
             break
         datum = sample_outcome(model, truth, spec, rng)
         if config.bitflip_alpha > 0 and spec.measurement == TWO_OUTCOME:
@@ -203,12 +186,12 @@ def run_trial(
                 datum = 1 - datum
         skipped = False
         resampled = False
+        sim_calls += evaluator.calls_per_update(cloud.size)
         try:
             update = bayes_update(
                 cloud, datum, spec, evaluator, rng=rng,
                 resample_threshold=config.resample.threshold,
             )
-            sim_calls += evaluator.calls_per_update(cloud.size)
             cloud = update.cloud
             ess = update.ess
             if update.resample_due:
@@ -216,8 +199,6 @@ def run_trial(
                 resampled = True
                 ess = effective_sample_size(cloud)
         except ZeroTotalWeight:
-            sim_calls += evaluator.calls_per_update(cloud.size)
-            skips += 1
             skipped = True
             ess = effective_sample_size(cloud)
         records.append(
@@ -231,7 +212,7 @@ def run_trial(
                 skipped=skipped,
             )
         )
-    return LossTrajectory(tuple(records), truth, converged, skips)
+    return LossTrajectory(tuple(records), truth)
 
 
 def _run_one_seeded_trial(args) -> LossTrajectory:

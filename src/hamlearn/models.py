@@ -17,6 +17,7 @@ provides an independent brute-force check.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import reduce
 from typing import Optional, Tuple, Union
@@ -56,17 +57,20 @@ class InteractionGraph:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("an interaction graph needs at least 2 qubits")
-        edges = tuple(tuple(int(v) for v in edge) for edge in self.edges)
-        seen = set()
-        for i, j in edges:
+        edges = []
+        for edge in self.edges:
+            try:
+                i, j = map(operator.index, edge)
+            except TypeError:
+                raise ValueError(f"edge {edge!r} has a non-integer endpoint") from None
             if not 0 <= i < j < self.n:
                 raise ValueError(f"edge ({i}, {j}) is not ordered within [0, {self.n})")
-            if (i, j) in seen:
+            if (i, j) in edges:
                 raise ValueError(f"duplicate edge ({i}, {j})")
-            seen.add((i, j))
+            edges.append((i, j))
         if not edges:
             raise ValueError("graph must have at least one edge")
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "edges", tuple(edges))
 
     @classmethod
     def complete(cls, n: int) -> "InteractionGraph":

@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .models import LIKELIHOOD_FLOOR, ExperimentSpec, IsingModel
+from .smc import weight_cdf
 
 EXACT = "exact"
 SAMPLED = "sampled"
@@ -83,4 +84,4 @@ def sample_outcome(
     """Draw one measurement outcome at the hidden true couplings."""
     dist = np.asarray(model.outcome_distribution(truth, exp), dtype=float)
     dist = np.clip(dist, 0.0, None)
-    return int(rng.choice(dist.shape[0], p=dist / dist.sum()))
+    return int(weight_cdf(dist / dist.sum()).searchsorted(rng.random(), side="right"))

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DimensionMismatch, ZeroTotalWeight
 
 _EPS = float(np.finfo(np.float64).eps)
-# Resampling rejects weights further than this from summing to one, as
+# `weight_cdf` rejects weights further than this from summing to one, as
 # numpy's Generator.choice does.
 _CHOICE_SUM_TOL = float(np.sqrt(_EPS))
 
@@ -107,17 +107,6 @@ class BayesUpdate(NamedTuple):
     cloud: ParticleCloud
     ess: float
     resample_due: bool
-
-
-def uniform_cloud(box, size: int, rng: np.random.Generator) -> ParticleCloud:
-    """Draw `size` particles i.i.d. uniform over a (d, 2) box, uniform weights."""
-    box = np.atleast_2d(np.asarray(box, dtype=float))
-    if box.shape[1] != 2 or np.any(box[:, 0] > box[:, 1]):
-        raise ValueError("box must be a (d, 2) array of [low, high] bounds")
-    if size < 1:
-        raise ValueError("size must be at least 1")
-    positions = rng.uniform(box[:, 0], box[:, 1], size=(size, box.shape[0]))
-    return ParticleCloud(positions, np.full(size, 1.0 / size))
 
 
 def bayes_update(
@@ -248,11 +237,12 @@ def weight_cdf(weights: np.ndarray) -> np.ndarray:
     """Normalized cumulative sum of `weights`, as ``Generator.choice`` builds it.
 
     ``weight_cdf(w).searchsorted(rng.random(), side="right")`` is the draw of
-    ``rng.choice(n, p=w)`` (PGH); the resampler lays its systematic points on
-    it.  Raises ValueError, as choice does, when weights do not sum to one.
+    ``rng.choice(n, p=w)`` (PGH and the outcome at the truth); the resampler
+    lays its systematic points on it.  Raises ValueError, as choice does, when
+    weights do not sum to one or their sum is NaN.
     """
     cdf = np.cumsum(weights)
-    if abs(cdf[-1] - 1.0) > _CHOICE_SUM_TOL:
+    if not abs(cdf[-1] - 1.0) <= _CHOICE_SUM_TOL:
         raise ValueError("probabilities do not sum to 1")
     cdf /= cdf[-1]
     return cdf

@@ -14,17 +14,16 @@ import time
 
 import numpy as np
 
+from hamlearn.cli import oracle_sweep
 from hamlearn.config import EvaluatorConfig, ModelConfig, RunConfig
 from hamlearn.design import PghConfig, pgh
 from hamlearn.harness import fit_decay, fit_two_segment, run_ensemble, scaling_study
 from hamlearn.models import (
-    FULL_BASIS,
     IQLE,
     TWO_OUTCOME,
     ExperimentSpec,
     InteractionGraph,
     IsingModel,
-    dense_oracle_distribution,
 )
 from hamlearn.risk import GaussianPrior1D, bayes_risk_1d, optimal_time, risk_envelope, risk_scan
 from hamlearn.simulate import LikelihoodEvaluator, sample_outcome
@@ -117,28 +116,7 @@ def test_04_noise_insensitivity_with_inversion():
 
 def test_05_likelihood_oracle_equivalence():
     started = time.perf_counter()
-    rng = np.random.default_rng(20500)
-    graphs = [(f"{maker.__name__}({n})", maker(n)) for n in (2, 3, 4, 5)
-              for maker in (InteractionGraph.complete, InteractionGraph.line)]
-    graphs += [("5-cycle", InteractionGraph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))),
-               ("(0,1),(2,3) on 5 qubits", InteractionGraph(5, ((0, 1), (2, 3))))]
-    worst = worst_kernel = 0.0
-    kernels = []
-    for label, graph in graphs:
-        model = IsingModel(graph)
-        kernels.append(f"{label} {model.kernel}")
-        for _ in range(50):
-            x = rng.uniform(-0.5, 0.5, graph.dimension)
-            inversion = rng.uniform(-0.5, 0.5, graph.dimension)
-            t = rng.uniform(1e-3, 100.0)
-            for measurement in (FULL_BASIS, TWO_OUTCOME):
-                spec = ExperimentSpec(IQLE, t, inversion, measurement)
-                oracle = dense_oracle_distribution(graph, x, spec)
-                scores = [model.likelihood(d, x, spec) for d in range(oracle.size)]
-                worst_kernel = max(worst_kernel, float(np.max(np.abs(scores - oracle))))
-                if measurement == FULL_BASIS:
-                    gap = np.max(np.abs(model.outcome_distribution(x, spec) - oracle))
-                    worst = max(worst, float(gap))
+    worst, worst_kernel, kernels = oracle_sweep(np.random.default_rng(20500), 50)
     ok = worst < 1e-9 and worst_kernel < 1e-9
     print(f"[A5] kernels: {', '.join(kernels)}")
     _report("A5", ok, started,

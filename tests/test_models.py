@@ -67,6 +67,16 @@ class TestInteractionGraph:
         with pytest.raises(ValueError):
             InteractionGraph(3, ())  # empty
 
+    def test_rejects_non_integer_endpoints(self):
+        # Endpoints were once truncated, so (0, 1.7) quietly became (0, 1).
+        for edges in (((0, 1.7), (1.2, 2.9)), ((0, 1), (1, np.float64(2.0))),
+                      ((0, 1), ("1", 2))):
+            with pytest.raises(ValueError, match="non-integer endpoint"):
+                InteractionGraph(3, edges)
+        graph = InteractionGraph(np.int64(3), ((np.int64(0), np.int32(1)), (1, np.uint8(2))))
+        assert graph.edges == ((0, 1), (1, 2))
+        assert all(type(v) is int for edge in graph.edges for v in edge)
+
 
 class TestExperimentSpec:
     def test_iqle_requires_inversion(self):

@@ -1,4 +1,5 @@
-"""Every public top-level name in the package is used by the package or the benchmark."""
+"""Every public top-level name in the package, and every field of its dataclasses,
+is used by the package or the benchmark."""
 
 import ast
 from pathlib import Path
@@ -44,3 +45,35 @@ def test_no_public_name_is_used_by_tests_alone():
     ]
     assert not unused, f"public names nothing in the package or perfbench uses: {unused}"
     assert not used & set(TEST_ONLY), "a test-only name is now used; drop it from TEST_ONLY"
+
+
+def dataclass_fields(tree):
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+            "dataclass" in ast.unparse(d) for d in node.decorator_list
+        ):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id
+
+
+def reads(tree):
+    """Attribute loads, keyword names and string constants: the ways a field is read."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            yield node.arg
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_no_dataclass_field_is_unread():
+    read = {name for path in USERS for name in reads(ast.parse(path.read_text()))}
+    unread = [
+        f"{path.stem}.{cls}.{field}"
+        for path in PACKAGE
+        for cls, field in dataclass_fields(ast.parse(path.read_text()))
+        if field not in read
+    ]
+    assert not unread, f"dataclass fields nothing in the package or perfbench reads: {unread}"

@@ -50,6 +50,25 @@ class TestSampleOutcome:
         sigma = np.sqrt(draws * dist * (1 - dist))
         assert np.all(np.abs(counts - draws * dist) <= 5 * sigma + 1e-9)
 
+    def test_draws_match_choice(self):
+        # Each outcome is the one rng.choice(m, p) draws, and the generator is
+        # left in the same state, so trial streams match choice's bit for bit.
+        cycle = InteractionGraph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
+        for graph, kernel in ((InteractionGraph.line(4), "forest"), (cycle, "half-table")):
+            model = IsingModel(graph)
+            assert model.kernel == kernel
+            setup = np.random.default_rng(graph.dimension)
+            x = setup.uniform(-0.5, 0.5, graph.dimension)
+            inversion = setup.uniform(-0.5, 0.5, graph.dimension)
+            for measurement in (FULL_BASIS, TWO_OUTCOME):
+                spec = ExperimentSpec(IQLE, 7.3, inversion, measurement)
+                dist = np.clip(model.outcome_distribution(x, spec), 0.0, None)
+                for seed in range(250):
+                    ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+                    outcome = sample_outcome(model, x, spec, ours)
+                    assert outcome == reference.choice(dist.size, p=dist / dist.sum())
+                    assert ours.random() == reference.random()
+
     def test_outcome_in_declared_space(self):
         rng = np.random.default_rng(3)
         model = IsingModel(InteractionGraph.line(4))

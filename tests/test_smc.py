@@ -24,7 +24,7 @@ from hamlearn.smc import (
     posterior_covariance,
     posterior_mean,
     quadratic_loss,
-    uniform_cloud,
+    weight_cdf,
 )
 
 
@@ -278,6 +278,12 @@ class TestLiuWestResample:
         with pytest.raises(ValueError):
             liu_west_resample(cloud, a=0.9, rng=np.random.default_rng(12))
 
+    def test_weight_cdf_rejects_nan_weights(self):
+        # rng.choice rejects a NaN p; the cumulative sum it is replaced by must too.
+        for weights in ([0.5, math.nan], [math.nan, 1.0]):
+            with pytest.raises(ValueError):
+                weight_cdf(np.array(weights))
+
     def test_weights_reset_to_uniform(self):
         rng = np.random.default_rng(6)
         cloud = random_cloud(rng, size=30)
@@ -309,22 +315,3 @@ class TestLiuWestResample:
         cloud = ParticleCloud(np.ones((20, 3)), np.full(20, 0.05))
         resampled = liu_west_resample(cloud, a=0.9, rng=np.random.default_rng(8))
         assert np.all(np.isfinite(resampled.positions))
-
-
-class TestUniformCloud:
-    def test_inside_box_and_normalized(self):
-        rng = np.random.default_rng(11)
-        box = [[-1.0, 2.0], [5.0, 6.0]]
-        cloud = uniform_cloud(box, 500, rng)
-        assert cloud.dimension == 2
-        assert np.all(cloud.positions[:, 0] >= -1.0) and np.all(cloud.positions[:, 0] <= 2.0)
-        assert np.all(cloud.positions[:, 1] >= 5.0) and np.all(cloud.positions[:, 1] <= 6.0)
-        assert abs(cloud.weights.sum() - 1.0) < 1e-12
-
-    def test_cloud_arrays_read_only(self):
-        rng = np.random.default_rng(12)
-        cloud = uniform_cloud([[0.0, 1.0]], 10, rng)
-        with pytest.raises(ValueError):
-            cloud.weights[0] = 2.0
-        with pytest.raises(ValueError):
-            cloud.positions[0, 0] = 2.0
