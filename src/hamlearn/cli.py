@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import RunConfig, emit_config, parse_config, parse_config_file
 from .errors import HamlearnError, SchemaError
-from .harness import fit_decay, run_ensemble, scaling_study
+from .harness import _keep_freed_heap, fit_decay, run_ensemble, scaling_study
 from .models import (
     FULL_BASIS,
     IQLE,
@@ -292,6 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _keep_freed_heap()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -9,6 +9,7 @@ decay-exponent fits summarize how fast the loss shrinks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -215,6 +216,32 @@ def run_trial(
     return LossTrajectory(tuple(records), truth)
 
 
+@functools.cache
+def _keep_freed_heap() -> bool:
+    """Keep freed heap memory in this process for reuse; run once per process.
+
+    By default glibc returns each freed numpy temporary of a few hundred KB
+    to the kernel, by unmapping it or trimming the heap top, and the next
+    step of a trial faults the same pages back in, zeroed.  Raising the mmap
+    threshold to 32 MiB (glibc's ceiling on 64-bit) and the trim threshold
+    to 64 MiB keeps them in the heap.  Returns whether both settings took;
+    a no-op returning False wherever `mallopt` cannot be loaded (macOS,
+    musl, Windows).  `cli.main` calls it, and so does each worker process
+    of `run_ensemble`'s pool.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    trim = mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD in glibc's malloc.h
+    mmap = mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    return trim == mmap == 1
+
+
 def _run_one_seeded_trial(args) -> LossTrajectory:
     config, seed = args
     rng = np.random.default_rng(seed)
@@ -253,7 +280,7 @@ def run_ensemble(
         from concurrent.futures import ProcessPoolExecutor
 
         workers = threads if threads > 0 else None
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_keep_freed_heap) as pool:
             trajectories = list(pool.map(_run_one_seeded_trial, jobs))
 
     summary = summarize_losses(trajectories)

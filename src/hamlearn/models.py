@@ -251,7 +251,10 @@ class IsingModel:
                 parts, _ = _components(graph.n, graph.edges[:e] + graph.edges[e + 1:])
                 self._side_masks.append(next(m for m in parts if m >> j & 1))
         # Cap on elements held by one chunk of the half-table likelihood.
-        self._chunk_elements = 2**22
+        # A (chunk, 2^(n-1)) float64 temporary of 512 KiB stays in cache and
+        # under the mmap threshold `harness._keep_freed_heap` sets, so each
+        # chunk reuses the last one's freed memory.
+        self._chunk_elements = 2**16
 
     @staticmethod
     def _sign_table(graph: InteractionGraph) -> np.ndarray:
@@ -302,12 +305,15 @@ class IsingModel:
         inv = self._inversion(exp)
         delta = x if inv is None else x - inv
         phases = np.mod(self.energies(delta) * exp.time, 2.0 * np.pi)
-        amplitudes = fwht(np.exp(-1j * phases)) / self._n_states
-        probs = np.abs(amplitudes) ** 2
+        factors = np.exp(-1j * phases)
         if exp.measurement == TWO_OUTCOME:
-            p0 = min(float(probs[0]), 1.0)
+            # W[0] alone, summed in the transform's own adjacent-pair order,
+            # so p0 is the full transform's bit for bit.
+            while factors.size > 1:
+                factors = factors[0::2] + factors[1::2]
+            p0 = min(float((np.abs(factors / self._n_states) ** 2)[0]), 1.0)
             return np.array([p0, 1.0 - p0])
-        return probs
+        return np.abs(fwht(factors) / self._n_states) ** 2
 
     def likelihood(self, outcome: int, x, exp: ExperimentSpec, rng=None) -> float:
         return float(self.likelihood_many(outcome, np.atleast_2d(x), exp)[0])

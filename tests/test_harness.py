@@ -1,5 +1,6 @@
 """Unit tests for trial orchestration, aggregation, and decay fitting."""
 
+import json
 import math
 import os
 import subprocess
@@ -374,6 +375,75 @@ class TestRunEnsemble:
         parallel = run_ensemble(config, threads=2)
         for a, b in zip(serial.trajectories, parallel.trajectories):
             np.testing.assert_array_equal(a.losses(), b.losses())
+
+
+def _mallopt_loads() -> bool:
+    import ctypes
+
+    try:
+        ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    return True
+
+
+def _run_python(code: str) -> str:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True).stdout
+
+
+class TestKeepFreedHeap:
+    """`cli.main` keeps freed heap memory for reuse, once per process, where
+    glibc's `mallopt` loads; each test runs in a fresh interpreter, because
+    the setting lasts for the life of a process."""
+
+    @pytest.mark.skipif(not _mallopt_loads(), reason="mallopt cannot be loaded here")
+    def test_warm_round_reuses_freed_memory(self, tmp_path):
+        # Without the setting, each step faults freed numpy temporaries back
+        # in: a warm round of this config makes over 3000 minor faults.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "model": {"graph": "complete", "n": 4}, "particles": 5000,
+            "n_experiments": 20, "trials": 1, "seed": 3,
+        }))
+        argv = ["learn", "--config", str(config), "--out", str(tmp_path / "out")]
+        code = (
+            "import contextlib, io, resource\n"
+            "from hamlearn import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({argv!r}) == 0\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            f"    assert cli.main({argv!r}) == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        assert int(_run_python(code)) < 1000
+
+    @pytest.mark.parametrize("missing", ["symbol", "library"])
+    def test_cli_runs_without_mallopt(self, tmp_path, missing):
+        # "symbol": a C library without mallopt (macOS, musl); "library": no
+        # handle to the process's C library at all (Windows).
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "model": {"kind": "single"}, "particles": 200, "n_experiments": 5, "trials": 1,
+        }))
+        argv = ["learn", "--config", str(config), "--out", str(tmp_path / "out")]
+        code = (
+            "import contextlib, ctypes, io\n"
+            "class NoMallopt:\n"
+            "    def __init__(self, name):\n"
+            f"        if {missing!r} == 'library':\n"
+            "            raise TypeError(name)\n"
+            "ctypes.CDLL = NoMallopt\n"
+            "from hamlearn import cli, harness\n"
+            "print(harness._keep_freed_heap.cache_info().misses)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({argv!r}) == 0\n"
+            f"    assert cli.main({argv!r}) == 0\n"
+            "print(harness._keep_freed_heap(), harness._keep_freed_heap.cache_info().misses)\n"
+        )
+        # Not run on import; run once for two commands; a no-op without mallopt.
+        assert _run_python(code).split() == ["0", "False", "1"]
 
 
 def make_trajectory(losses):

@@ -231,6 +231,38 @@ class TestIsingModel:
                     model_small_chunks.likelihood_many(outcome, xs, spec),
                 )
 
+    def test_default_chunks_match_one_chunk(self):
+        # complete(8) splits 600 particles into two chunks at the default cap.
+        rng = np.random.default_rng(7)
+        graph = InteractionGraph.complete(8)
+        model = IsingModel(graph)
+        one_chunk = IsingModel(graph)
+        one_chunk._chunk_elements = 2**22
+        xs = rng.uniform(-0.5, 0.5, (600, graph.dimension))
+        spec = ExperimentSpec(IQLE, 9.0, rng.uniform(-0.5, 0.5, graph.dimension), FULL_BASIS)
+        for outcome in (0, 3, 255):
+            np.testing.assert_array_equal(
+                model.likelihood_many(outcome, xs, spec),
+                one_chunk.likelihood_many(outcome, xs, spec),
+            )
+
+    @pytest.mark.parametrize("name", ["complete3", "complete4", "complete6", "line6", "cycle5",
+                                      "forest5"])
+    def test_two_outcome_matches_full_transform_bitwise(self, name):
+        # The return probability sums only W[0]; it must be the full
+        # transform's entry 0 bit for bit, or sampled datum draws would move.
+        graph = ORACLE_GRAPHS[name]
+        model = IsingModel(graph)
+        rng = np.random.default_rng(14)
+        for _ in range(200):
+            x = rng.uniform(-0.5, 0.5, graph.dimension)
+            inversion = rng.uniform(-0.5, 0.5, graph.dimension)
+            t = rng.uniform(0.001, 100.0)
+            full = model.outcome_distribution(x, ExperimentSpec(IQLE, t, inversion, FULL_BASIS))
+            two = model.outcome_distribution(x, ExperimentSpec(IQLE, t, inversion, TWO_OUTCOME))
+            p0 = min(float(full[0]), 1.0)
+            assert two.tobytes() == np.array([p0, 1.0 - p0]).tobytes()
+
     def test_kernel_follows_graph(self):
         for name, graph in ORACLE_GRAPHS.items():
             forest = name.startswith(("line", "star", "forest")) or name == "complete2"
