@@ -321,6 +321,10 @@ class IsingModel:
     def likelihood_many(self, outcome: int, xs, exp: ExperimentSpec, rng=None) -> np.ndarray:
         """Probability of `outcome` for every row of `xs`, vectorized.
 
+        The kernels run on ``xs.T``, one row per coupling, so a cloud's
+        coupling-major positions are read contiguously; a C-ordered `xs`
+        gives the same values bit for bit.
+
         On a forest each particle costs d tangents (see the class
         docstring).  With a cycle the transform collapses to one character
         sum over the half table, so each chunk costs a (chunk, d) @
@@ -338,30 +342,35 @@ class IsingModel:
                 f"expected {self.dimension} couplings, got {xs.shape[1]}"
             )
         inv = self._inversion(exp)
-        deltas = xs if inv is None else xs - inv[None, :]
+        # (d, size), one row per coupling: contiguous rows for a cloud's
+        # coupling-major positions.
+        deltas = xs.T if inv is None else xs.T - inv[:, None]
+        size = deltas.shape[1]
 
         if exp.measurement == TWO_OUTCOME:
             target, complement = 0, outcome == 1
         else:
             target, complement = outcome, False
         if any(_odd(target & mask) for mask in self._component_masks):
-            return np.full(deltas.shape[0], LIKELIHOOD_FLOOR)
+            return np.full(size, LIKELIHOOD_FLOOR)
 
         if self.kernel == "forest":
             # u^2 = tan^2(delta_e t), built in place: cos^2 = 1 / (1 + u^2)
-            # and sin^2 = u^2 / (1 + u^2), applied one edge at a time.
-            tan2 = deltas * exp.time
+            # and sin^2 = u^2 / (1 + u^2), applied one edge at a time.  The
+            # C-ordered rows make the sum over edges run edge by edge, the
+            # same order whatever the layout of `xs`.
+            tan2 = np.multiply(deltas, exp.time, order="C")
             np.tan(tan2, out=tan2)
             tan2 *= tan2
             if complement:
                 # 1 - prod_e cos^2 = 1 - exp(-sum_e log(1 + u^2))
-                out = -np.expm1(-np.log1p(tan2, out=tan2).sum(axis=1))
+                out = -np.expm1(-np.log1p(tan2, out=tan2).sum(axis=0))
             else:
-                out = np.ones(deltas.shape[0])
+                out = np.ones(size)
                 for e, side in enumerate(self._side_masks):
                     if _odd(target & side):
-                        out *= tan2[:, e]
-                    out /= 1.0 + tan2[:, e]
+                        out *= tan2[e]
+                    out /= 1.0 + tan2[e]
             return np.clip(out, LIKELIHOOD_FLOOR, 1.0)
 
         half = self._n_states // 2
@@ -370,11 +379,11 @@ class IsingModel:
             np.bitwise_and(np.uint64(target), np.arange(half, dtype=np.uint64))
         ).astype(float)
         chi_sum = chi.sum()
-        out = np.empty(deltas.shape[0])
+        out = np.empty(size)
         chunk = max(1, self._chunk_elements // half)
-        for start in range(0, deltas.shape[0], chunk):
+        for start in range(0, size, chunk):
             # h = tan(phi/2) and q = 1/(1 + h^2): cos phi = 2q - 1, sin phi = 2hq.
-            h = deltas[start : start + chunk] @ signs
+            h = deltas[:, start : start + chunk].T @ signs
             h *= 0.5 * exp.time
             np.tan(h, out=h)
             q = h * h

@@ -63,10 +63,12 @@ class LikelihoodEvaluator:
         if self.mode == SAMPLED:
             counts = rng.binomial(self.n_samp, np.clip(exact, 0.0, 1.0))
             return np.clip(counts / self.n_samp, LIKELIHOOD_FLOOR, 1.0)
-        noisy = exact
-        if self.noise > 0:
-            noisy = exact + rng.normal(0.0, self.noise, size=exact.shape)
-        return np.clip(noisy, LIKELIHOOD_FLOOR, 1.0)
+        if self.noise == 0:
+            return np.clip(exact, LIKELIHOOD_FLOOR, 1.0)
+        # noise + exact is exact + noise bit for bit; built in the draw's array.
+        noisy = rng.normal(0.0, self.noise, size=exact.shape)
+        noisy += exact
+        return np.clip(noisy, LIKELIHOOD_FLOOR, 1.0, out=noisy)
 
     def calls_per_update(self, n_particles: int) -> int:
         """Simulator invocations consumed by one weight update."""

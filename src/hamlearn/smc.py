@@ -36,9 +36,13 @@ class ParticleCloud:
         whose weights sum to one within 1e-12, also after 200 successive
         updates with likelihoods down to `models.LIKELIHOOD_FLOOR`.
 
-    A float64, C-contiguous, read-only array that owns its data cannot change
-    under the cloud, so it is shared, not copied: an update shares its
-    positions with the cloud it came from.  Other arrays are copied.
+    The positions are stored coupling-major: ``positions.T`` is a
+    C-contiguous (dimension, size) array, one row per coupling, so the
+    resampler, the moments and the kernels broadcast over contiguous
+    particles.  A read-only float64 array in that layout whose data cannot
+    change under the cloud is shared, not copied: an update shares its
+    positions with the cloud it came from.  Other arrays are copied once into
+    that layout.
     """
 
     positions: np.ndarray
@@ -78,17 +82,28 @@ def _check_weights(weights: np.ndarray) -> None:
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
-    """`array` if it is read-only, C-contiguous and owns its data, else a frozen copy."""
+    """`array` if it is read-only, F-contiguous and its data cannot change,
+    else a frozen F-ordered copy.
+
+    The data cannot change when the array owns it, or when it is a view (such
+    as the ``.T`` of a resampler's (dimension, size) array) of a read-only
+    array that owns it.  A 1-D array is both C- and F-contiguous.
+    """
     flags = array.flags
-    if flags.writeable or not flags.owndata or not flags.c_contiguous:
-        array = array.copy()
-    array.setflags(write=False)
+    base = array.base
+    if flags.writeable or not flags.f_contiguous or not (
+        flags.owndata
+        or (isinstance(base, np.ndarray) and base.flags.owndata and not base.flags.writeable)
+    ):
+        array = array.copy(order="F")
+        array.setflags(write=False)
     return array
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:
     """Mark read-only, in place, a fresh array that nothing else references,
-    so that a cloud built on it shares it instead of copying it."""
+    so that a cloud built on it, or on the ``.T`` of a (dimension, size)
+    array, shares it instead of copying it."""
     array.setflags(write=False)
     return array
 
@@ -149,24 +164,25 @@ def effective_sample_size(cloud: ParticleCloud) -> float:
 
 def posterior_mean(cloud: ParticleCloud) -> np.ndarray:
     """Weighted mean of the particle positions."""
-    return cloud.weights @ cloud.positions
+    return cloud.positions.T @ cloud.weights
 
 
 def posterior_covariance(cloud: ParticleCloud) -> np.ndarray:
     """Weighted covariance of the particle positions (symmetric PSD)."""
-    return _moments(cloud)[2]
+    return _moments(cloud)[1]
 
 
 def _moments(cloud: ParticleCloud):
-    """Weighted mean, centered positions and covariance, skipping weights
-    below eps/size: they hold under eps of the mass, so the mean moves by at
-    most eps * max|x| and the covariance by about eps * max|x - mean|^2."""
+    """Weighted mean and covariance, skipping weights below eps/size: they
+    hold under eps of the mass, so the mean moves by at most eps * max|x| and
+    the covariance by about eps * max|x - mean|^2."""
     weights = cloud.weights
     weights = np.where(weights < _EPS / weights.shape[0], 0.0, weights)
-    mean = weights @ cloud.positions
-    centered = cloud.positions - mean
-    cov = (centered * weights[:, None]).T @ centered
-    return mean, centered, 0.5 * (cov + cov.T)
+    rows = cloud.positions.T  # (dimension, size), one contiguous row per coupling
+    mean = rows @ weights
+    centered = rows - mean[:, None]
+    cov = (centered * weights) @ centered.T
+    return mean, 0.5 * (cov + cov.T)
 
 
 def quadratic_loss(estimate, truth) -> float:
@@ -218,19 +234,22 @@ def liu_west_resample(
     edges = np.floor(n * weight_cdf(cloud.weights) + rng.random())
     np.minimum(edges, n, out=edges)  # n + u rounds up to n + 1 for u near 1
     counts = np.diff(edges, prepend=0.0).astype(np.intp)
-    parents = np.repeat(cloud.positions, counts, axis=0)
+    # (dimension, n): one contiguous row of offspring per coupling.
+    parents = cloud.positions.T.take(np.repeat(np.arange(n), counts), axis=1)
     del edges, counts  # freed before the moments, to keep the peak memory down
     uniform = _freeze(np.full(n, 1.0 / n))
     if a == 1.0:
-        return ParticleCloud(_freeze(parents), uniform)
-    mean, work, cov = _moments(cloud)
+        return ParticleCloud(_freeze(parents).T, uniform)
+    mean, cov = _moments(cloud)
     scale = np.sqrt(1.0 - a * a) * _cholesky_with_jitter(cov)
-    # a * parent + (1 - a) * mean + kick, in place in the parents' array; the
-    # normals refill the work array (the stream of standard_normal((n, d))).
+    # a * parent + (1 - a) * mean + kick, in place in the parents' array.  The
+    # normals are drawn row-major, one row per offspring, as
+    # standard_normal((n, d)) always drew them; drawing into a coupling-major
+    # array would fill it in memory order and hand each offspring other kicks.
     parents *= a
-    parents += (1.0 - a) * mean
-    parents += rng.standard_normal(out=work) @ scale.T
-    return ParticleCloud(_freeze(parents), uniform)
+    parents += ((1.0 - a) * mean)[:, None]
+    parents += scale @ rng.standard_normal((n, cloud.dimension)).T
+    return ParticleCloud(_freeze(parents).T, uniform)
 
 
 def weight_cdf(weights: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Unit tests for the likelihood models and their brute-force reference."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -262,6 +263,25 @@ class TestIsingModel:
             two = model.outcome_distribution(x, ExperimentSpec(IQLE, t, inversion, TWO_OUTCOME))
             p0 = min(float(full[0]), 1.0)
             assert two.tobytes() == np.array([p0, 1.0 - p0]).tobytes()
+
+    @pytest.mark.parametrize("name", ["line5", "star5", "forest5", "star9", "complete4",
+                                      "cycle5"])
+    def test_c_and_f_ordered_particles_agree_bitwise(self, name):
+        # Clouds hand the kernel coupling-major (F-ordered) positions; a
+        # caller's C-ordered rows must give the same likelihoods bit for bit,
+        # for every outcome and both measurements.  star9 has eight edges,
+        # enough for numpy's pairwise sum to reorder a row-wise edge sum.
+        graph = ORACLE_GRAPHS.get(name) or InteractionGraph(9, tuple((0, j) for j in range(1, 9)))
+        model = IsingModel(graph)
+        rng = np.random.default_rng(15)
+        rows = rng.uniform(-0.5, 0.5, (300, graph.dimension))
+        columns = np.asfortranarray(rows)
+        for spec in (ExperimentSpec(QLE, 6.0), ExperimentSpec(IQLE, 11.0, rows[0] + 0.01)):
+            for measurement in (FULL_BASIS, TWO_OUTCOME):
+                spec = replace(spec, measurement=measurement)
+                for outcome in range(model.outcome_count(spec)):
+                    ours = model.likelihood_many(outcome, columns, spec)
+                    assert ours.tobytes() == model.likelihood_many(outcome, rows, spec).tobytes()
 
     def test_kernel_follows_graph(self):
         for name, graph in ORACLE_GRAPHS.items():

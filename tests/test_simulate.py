@@ -17,6 +17,7 @@ from hamlearn.simulate import (
     LikelihoodEvaluator,
     sample_outcome,
 )
+from hamlearn.smc import ParticleCloud
 
 
 class TestSampleOutcome:
@@ -179,6 +180,27 @@ class TestLikelihoodEvaluator:
                             LIKELIHOOD_FLOOR, 1.0)
         np.testing.assert_array_equal(values, reference)
         assert rng.random() == reference_rng.random()
+
+    @pytest.mark.parametrize("graph", [InteractionGraph.line(4), InteractionGraph.complete(4)])
+    def test_noisy_mode_matches_written_out_sum_on_a_cloud(self, graph):
+        # The noise is drawn into its own array and the exact values added
+        # to it; addition commutes, so this is the written-out formula bit
+        # for bit, on a cloud's coupling-major positions as on rows.
+        model = IsingModel(graph)
+        positions = np.random.default_rng(16).uniform(-0.5, 0.5, (2000, graph.dimension))
+        cloud = ParticleCloud(positions, np.full(2000, 1 / 2000))
+        spec = ExperimentSpec(IQLE, 9.0, np.full(graph.dimension, 0.05), FULL_BASIS)
+        for noise in (0.0, 0.1, 0.7):
+            evaluator = LikelihoodEvaluator(model, "noisy_exact", noise=noise)
+            for outcome in (0, 5, 9):
+                rng, reference_rng = np.random.default_rng(17), np.random.default_rng(17)
+                values = evaluator.likelihood_many(outcome, cloud.positions, spec, rng=rng)
+                exact = model.likelihood_many(outcome, positions, spec)
+                if noise > 0:
+                    exact = exact + reference_rng.normal(0.0, noise, cloud.size)
+                reference = np.clip(exact, LIKELIHOOD_FLOOR, 1.0)
+                assert values.tobytes() == reference.tobytes()
+                assert rng.bit_generator.state == reference_rng.bit_generator.state
 
     def test_stochastic_modes_require_rng(self):
         model = one_coupling_model()

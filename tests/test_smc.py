@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamlearn.config import ModelConfig, RunConfig
 from hamlearn.errors import DimensionMismatch, ZeroTotalWeight
+from hamlearn.harness import build_model, draw_prior_cloud
 from hamlearn.models import (
+    FULL_BASIS,
     IQLE,
     LIKELIHOOD_FLOOR,
     TWO_OUTCOME,
@@ -18,6 +21,7 @@ from hamlearn.models import (
 )
 from hamlearn.smc import (
     ParticleCloud,
+    _cholesky_with_jitter,
     bayes_update,
     effective_sample_size,
     liu_west_resample,
@@ -315,3 +319,107 @@ class TestLiuWestResample:
         cloud = ParticleCloud(np.ones((20, 3)), np.full(20, 0.05))
         resampled = liu_west_resample(cloud, a=0.9, rng=np.random.default_rng(8))
         assert np.all(np.isfinite(resampled.positions))
+
+
+def coupling_major(array):
+    """Whether `array` is stored one contiguous row per coupling."""
+    return array.T.flags.c_contiguous
+
+
+def learned_cloud(graph, seed):
+    """A uniform prior cloud on `graph`, reweighted by three IQLE data."""
+    config = RunConfig(model=ModelConfig(kind="ising", graph=graph, n=4), particles=3000)
+    model = build_model(config.model)
+    rng = np.random.default_rng(seed)
+    cloud = draw_prior_cloud(config, model, rng)
+    for t, outcome in ((2.0, 0b0011), (5.0, 0b0110), (9.0, 0b0000)):
+        spec = ExperimentSpec(IQLE, t, rng.uniform(-0.5, 0.5, model.dimension), FULL_BASIS)
+        cloud = bayes_update(cloud, outcome, spec, model).cloud
+    return cloud
+
+
+def row_major_resample(cloud, a, rng):
+    """The Liu-West resample written out on (size, dimension) row-major arrays."""
+    n = cloud.size
+    positions = np.ascontiguousarray(cloud.positions)
+    edges = np.minimum(np.floor(n * weight_cdf(cloud.weights) + rng.random()), n)
+    parents = np.repeat(positions, np.diff(edges, prepend=0.0).astype(np.intp), axis=0)
+    if a == 1.0:
+        return parents
+    weights = np.where(cloud.weights < np.finfo(float).eps / n, 0.0, cloud.weights)
+    mean = weights @ positions
+    centered = positions - mean
+    cov = (centered * weights[:, None]).T @ centered
+    scale = math.sqrt(1.0 - a * a) * _cholesky_with_jitter(0.5 * (cov + cov.T))
+    return a * parents + (1.0 - a) * mean + rng.standard_normal((n, cloud.dimension)) @ scale.T
+
+
+class TestCouplingMajorLayout:
+    def test_prior_update_and_resample_are_coupling_major(self):
+        config = RunConfig(model=ModelConfig(kind="ising", graph="line", n=5), particles=400)
+        model = build_model(config.model)
+        rng = np.random.default_rng(30)
+        prior = draw_prior_cloud(config, model, rng)
+        spec = ExperimentSpec(IQLE, 4.0, np.zeros(model.dimension), FULL_BASIS)
+        updated = bayes_update(prior, 0, spec, model).cloud
+        resampled = liu_west_resample(updated, a=0.9, rng=rng)
+        copies = liu_west_resample(updated, a=1.0, rng=rng)
+        for cloud in (prior, updated, resampled, copies):
+            assert cloud.positions.shape == (400, model.dimension)
+            assert coupling_major(cloud.positions)
+            assert not cloud.positions.flags.writeable
+
+    def test_update_and_resample_share_their_arrays(self):
+        rng = np.random.default_rng(31)
+        cloud = random_cloud(rng, size=200, dim=4)
+        updated = bayes_update(cloud, 0, None, _ConstantModel(rng.uniform(0.1, 1.0, 200))).cloud
+        assert updated.positions is cloud.positions
+        for a in (0.9, 1.0):
+            resampled = liu_west_resample(updated, a=a, rng=rng)
+            # The offspring's (dimension, size) array is frozen and viewed,
+            # not copied: a cloud built on the view keeps it as it is.
+            rows = resampled.positions.base
+            assert rows.shape == (4, 200) and rows.flags.owndata
+            assert not rows.flags.writeable
+            rebuilt = ParticleCloud(resampled.positions, resampled.weights)
+            assert rebuilt.positions is resampled.positions
+            assert rebuilt.weights is resampled.weights
+
+    def test_caller_arrays_are_copied_once(self):
+        rng = np.random.default_rng(32)
+        weights = np.full(50, 0.02)
+        c_frozen = rng.normal(size=(50, 3))
+        c_frozen.setflags(write=False)
+        f_writable = np.asfortranarray(rng.normal(size=(50, 3)))
+        rows = rng.normal(size=(3, 50))
+        f_view_of_writable = rows.T
+        f_view_of_writable.setflags(write=False)
+        for given in (c_frozen, f_writable, f_view_of_writable):
+            cloud = ParticleCloud(given, weights)
+            assert coupling_major(cloud.positions)
+            assert not np.shares_memory(cloud.positions, given)
+            np.testing.assert_array_equal(cloud.positions, given)
+            assert ParticleCloud(cloud.positions, weights).positions is cloud.positions
+        rows[0, 0] = 99.0  # the read-only view's data can still change
+        assert cloud.positions[0, 0] != 99.0
+        f_frozen = np.asfortranarray(rng.normal(size=(50, 3)))
+        f_frozen.setflags(write=False)
+        assert ParticleCloud(f_frozen, weights).positions is f_frozen
+
+    @pytest.mark.parametrize("graph", ["line", "complete"])
+    @pytest.mark.parametrize("a", [0.9, 1.0])
+    def test_resample_matches_row_major_reference(self, graph, a):
+        # Same parents, kicks and draws as the row-major formula.  Only the
+        # mean and covariance reductions change their summation order with
+        # the layout, so positions agree to roundoff and the generator ends
+        # in the same state.
+        for seed in (40, 41, 42):
+            cloud = learned_cloud(graph, seed)
+            assert effective_sample_size(cloud) < 0.9 * cloud.size
+            ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            resampled = liu_west_resample(cloud, a=a, rng=ours).positions
+            expected = row_major_resample(cloud, a, reference)
+            assert np.max(np.abs(resampled - expected)) <= 1e-12 * np.max(np.abs(expected))
+            assert ours.bit_generator.state == reference.bit_generator.state
+            if a == 1.0:
+                np.testing.assert_array_equal(resampled, expected)
