@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import RunConfig, emit_config, parse_config, parse_config_file
+from .config import RunConfig, parse_config_file
 from .errors import HamlearnError, SchemaError
 from .harness import _keep_freed_heap, fit_decay, run_ensemble, scaling_study
 from .models import (
@@ -38,7 +38,7 @@ def _load_config(args) -> RunConfig:
     overrides = {name: getattr(args, name) for name in ("seed", "trials", "out")
                  if getattr(args, name) is not None}
     # Overridden fields pass the same schema checks as the config file's.
-    return parse_config(emit_config(replace(config, **overrides)))
+    return replace(config, **overrides)
 
 
 def _cmd_learn(args) -> int:
@@ -64,6 +64,9 @@ def _check_risk_args(args) -> None:
         raise SchemaError(f"--alpha: must lie in [0, 0.5], got {args.alpha}")
     if args.points < 1:
         raise SchemaError(f"--points: must be at least 1, got {args.points}")
+    for flag, value in (("--mu", args.mu), ("--x-inv", args.x_inv)):
+        if not np.isfinite(value):
+            raise SchemaError(f"{flag}: must be finite, got {value}")
     if args.t_max is not None and not (np.isfinite(args.t_max) and args.t_max > 0):
         raise SchemaError(f"--t-max: must be positive and finite, got {args.t_max}")
     if args.strategy == "pgh" and args.pgh_draws < 2:
@@ -106,7 +109,7 @@ def _check_scaling_sizes(config: RunConfig, sizes) -> None:
     for n in sizes:
         # Each size passes the same schema checks as the config file's model block.
         try:
-            parse_config(emit_config(replace(config, model=replace(config.model, n=n))))
+            replace(config, model=replace(config.model, n=n))
         except SchemaError as exc:
             raise SchemaError(f"--n: {exc}") from None
 

@@ -1,11 +1,13 @@
-"""Run configuration: schema, parsing, and emission.
+"""Run configuration: schema, parsing, and the checks every config passes.
 
 Configs are JSON text with a fixed field set.  Each dataclass field declares
-its default, JSON kind and bound once, in its metadata; one walker over
-`dataclasses.fields` parses every section, rejects unknown fields and
-non-finite numbers, and names the field's dotted path in every error.  Then
-`model_graph` checks the model block as a whole; in configs built in Python
-it is the only check.  `parse_config(emit_config(cfg))` round-trips exactly.
+its default, JSON kind and bound once, in its metadata.  `RunConfig` checks
+itself when built, whether parsed or built in Python: each field is parsed by
+its kind and checked against its bound, in declaration order, with its dotted
+path in every error; then `model_graph` checks the model block as a whole and
+the truth's length is checked against it.  The parser's walker does only the
+structural work: it requires objects, rejects unknown fields and recurses
+into sections.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
-from functools import partial
 from typing import Optional, Tuple, Union
 
 from .errors import SchemaError
@@ -118,8 +119,29 @@ def _convert(value, path: str, kind, bound=None):
     return value
 
 
+def _checked_fields(config, path: str = "") -> dict:
+    """Each field of `config` parsed by its kind and checked against its bound,
+    in declaration order; a section is rebuilt from its own checked fields."""
+    prefix = f"{path}." if path else ""
+    values = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        kind = f.metadata.get("kind")
+        if kind is None:  # a section: a nested config dataclass
+            values[f.name] = type(value)(**_checked_fields(value, prefix + f.name))
+        else:
+            values[f.name] = _convert(value, prefix + f.name, kind, f.metadata["bound"])
+    return values
+
+
+def check_fields(config) -> None:
+    """`__post_init__` of a checked config: store each field as its kind parses it."""
+    for name, value in _checked_fields(config).items():
+        object.__setattr__(config, name, value)
+
+
 def _walk_fields(cls, data, path: str):
-    """Walk the fields of `cls` over a JSON object; absent fields keep their defaults."""
+    """Build `cls` from a JSON object; absent fields keep their defaults."""
     if not isinstance(data, dict):
         raise _fail(path or "<config>", f"expected an object, got {type(data).__name__}")
     prefix = f"{path}." if path else ""
@@ -127,12 +149,10 @@ def _walk_fields(cls, data, path: str):
     for key in data:
         if key not in known:
             raise _fail(prefix + key, "unknown field")
-    values = {}
+    values = dict(data)
     for name, f in known.items():
-        if name in data:
-            # A field with no kind is a section: a nested config dataclass.
-            kind = f.metadata.get("kind") or partial(_walk_fields, f.default_factory)
-            values[name] = _convert(data[name], prefix + name, kind, f.metadata.get("bound"))
+        if name in data and f.metadata.get("kind") is None:
+            values[name] = _walk_fields(f.default_factory, data[name], prefix + name)
     return cls(**values)
 
 
@@ -144,9 +164,11 @@ def _field(default, kind, bound=None):
 class ModelConfig:
     """System under study: model family, graph, and parameter box.
 
-    `graph` is a family name or an explicit edge list; `degenerate_couplings`
-    switches the per-trial truth draw to one shared value on the box plus
-    small Gaussian jitter (s.d. 0.01 per edge).
+    `graph` is a family name or an explicit edge list.  `box` is the uniform
+    prior's range, the same for every coupling.  `degenerate_couplings`
+    switches every prior draw, the per-trial truth and the prior cloud alike,
+    to one shared value on the box plus small Gaussian jitter (s.d. 0.01 per
+    edge), clipped back into the box.
     """
 
     kind: str = _field("ising", _one_of(("ising", "single")))
@@ -198,6 +220,12 @@ class RunConfig:
     fit_window: float = _field(0.1, _number, _lies_in("[0, 1)"))
     truth: Optional[Tuple[float, ...]] = _field(None, _couplings)
 
+    def __post_init__(self):
+        check_fields(self)
+        dimension = model_graph(self.model).dimension
+        if self.truth is not None and len(self.truth) != dimension:
+            raise _fail("truth", f"expected length {dimension}, got {len(self.truth)}")
+
 
 def model_graph(model: ModelConfig) -> InteractionGraph:
     """The interaction graph of a model block; SchemaError names a field it cannot serve.
@@ -222,11 +250,7 @@ def parse_config(text: str) -> RunConfig:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    config = _walk_fields(RunConfig, data, "")
-    dimension = model_graph(config.model).dimension
-    if config.truth is not None and len(config.truth) != dimension:
-        raise _fail("truth", f"expected length {dimension}, got {len(config.truth)}")
-    return config
+    return _walk_fields(RunConfig, data, "")
 
 
 def parse_config_file(path) -> RunConfig:
@@ -237,7 +261,3 @@ def parse_config_file(path) -> RunConfig:
 def config_to_dict(config: RunConfig) -> dict:
     """Plain-data view of a config; the JSON writers emit its tuples as lists."""
     return asdict(config)
-
-
-def emit_config(config: RunConfig) -> str:
-    return json.dumps(config_to_dict(config), indent=2) + "\n"

@@ -12,38 +12,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ExperimentConfig, PghSettings, check_fields
 from .errors import DegenerateCloud
-from .models import EXPERIMENT_KINDS, FULL_BASIS, IQLE, MEASUREMENT_MODES, ExperimentSpec
+from .models import IQLE, ExperimentSpec
 from .smc import ParticleCloud, weight_cdf
 
 
 @dataclass(frozen=True)
-class PghConfig:
-    """Free constants of the particle guess heuristic.
+class PghConfig(PghSettings, ExperimentConfig):
+    """The particle guess heuristic's constants and the experiment it designs.
 
-    `t_max` caps the emitted time (a collapsed cloud would otherwise request
-    an unbounded evolution), `min_separation` is the floor below which two
-    draws count as the same position, and `max_redraws` bounds the attempts
-    to find a second, distinct draw.
+    The fields, defaults and bounds are those of the run config's `pgh` and
+    `experiment` sections, checked when built.  `t_max` caps the emitted time
+    (a collapsed cloud would otherwise request an unbounded evolution),
+    `min_separation` is the floor below which two draws count as the same
+    position, and `max_redraws` bounds the attempts to find a second,
+    distinct draw.
     """
 
-    kind: str = IQLE
-    t_max: float = 1e6
-    min_separation: float = 1e-12
-    max_redraws: int = 100
-    measurement: str = FULL_BASIS
-
-    def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
-            raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if self.measurement not in MEASUREMENT_MODES:
-            raise ValueError(f"unknown measurement mode {self.measurement!r}")
-        if not self.t_max > 0:
-            raise ValueError("t_max must be positive")
-        if not self.min_separation > 0:
-            raise ValueError("min_separation must be positive")
-        if self.max_redraws < 1:
-            raise ValueError("max_redraws must be at least 1")
+    __post_init__ = check_fields
 
 
 def pgh(cloud: ParticleCloud, cfg: PghConfig, rng: np.random.Generator) -> ExperimentSpec:

@@ -90,7 +90,7 @@ class EnsembleResult:
 
 def build_model(model_config: ModelConfig) -> IsingModel:
     """Instantiate the likelihood model described by a config block."""
-    return IsingModel(model_graph(model_config), box=model_config.box)
+    return IsingModel(model_graph(model_config))
 
 
 # Per-edge jitter applied to near-degenerate prior draws (variance 1e-4).
@@ -103,28 +103,23 @@ def draw_prior(
     """`size` coupling vectors drawn from the config's prior, shape (size, d).
 
     Plain runs draw every coupling uniformly on the box.  Near-degenerate
-    runs draw one shared value per row uniformly on the first edge's range
-    and add small Gaussian jitter per edge, clipped back into the box, so
-    the learning problem is effectively one-dimensional until the shared
-    value is pinned down.
+    runs draw one shared value per row uniformly on the box and add small
+    Gaussian jitter per edge, clipped back into the box, so the learning
+    problem is effectively one-dimensional until the shared value is pinned
+    down.
     """
-    box = model.box
+    low, high = config.model.box
     if not config.model.degenerate_couplings:
-        return rng.uniform(box[:, 0], box[:, 1], size=(size, model.dimension))
-    shared = rng.uniform(box[0, 0], box[0, 1], size=(size, 1))
+        return rng.uniform(low, high, size=(size, model.dimension))
+    shared = rng.uniform(low, high, size=(size, 1))
     positions = shared + rng.normal(0.0, DEGENERATE_JITTER_STD, size=(size, model.dimension))
-    return np.clip(positions, box[:, 0], box[:, 1])
+    return np.clip(positions, low, high)
 
 
 def draw_truth(config: RunConfig, model: IsingModel, rng: np.random.Generator) -> np.ndarray:
     """The configured true coupling vector, or one draw from the prior."""
     if config.truth is not None:
-        truth = np.asarray(config.truth, dtype=float)
-        if truth.shape[0] != model.dimension:
-            raise ValueError(
-                f"configured truth has {truth.shape[0]} couplings, model needs {model.dimension}"
-            )
-        return truth
+        return np.asarray(config.truth, dtype=float)
     return draw_prior(config, model, 1, rng)[0]
 
 
@@ -134,16 +129,6 @@ def draw_prior_cloud(
     """Initial particle cloud: `config.particles` prior draws, uniform weights."""
     positions = draw_prior(config, model, config.particles, rng)
     return ParticleCloud(positions, np.full(config.particles, 1.0 / config.particles))
-
-
-def _pgh_config(config: RunConfig) -> PghConfig:
-    return PghConfig(
-        kind=config.experiment.kind,
-        t_max=config.pgh.t_max,
-        min_separation=config.pgh.min_separation,
-        max_redraws=config.pgh.max_redraws,
-        measurement=config.experiment.measurement,
-    )
 
 
 def run_trial(
@@ -161,15 +146,10 @@ def run_trial(
     early, with fewer than `config.n_experiments` records.
     """
     model = model if model is not None else build_model(config.model)
-    evaluator = LikelihoodEvaluator(
-        model,
-        mode=config.evaluator.mode,
-        n_samp=config.evaluator.n_samp,
-        noise=config.evaluator.noise,
-    )
+    evaluator = LikelihoodEvaluator(model, **vars(config.evaluator))
     truth = np.asarray(truth, dtype=float)
     if designer is None:
-        pgh_cfg = _pgh_config(config)
+        pgh_cfg = PghConfig(**vars(config.pgh), **vars(config.experiment))
         designer = lambda cloud, stream: pgh(cloud, pgh_cfg, stream)
 
     cloud = draw_prior_cloud(config, model, rng)
@@ -327,13 +307,20 @@ def _window_points(series, window: float):
     return indices, logs
 
 
-def _line_fit(indices: np.ndarray, logs: np.ndarray):
+def _line_fit(indices: np.ndarray, logs: np.ndarray) -> Tuple[DecayFit, float]:
+    """The least-squares line through (index, ln loss) as a DecayFit, and its residual."""
     slope, intercept = np.polyfit(indices, logs, 1)
     predicted = slope * indices + intercept
     residual = float(np.sum((logs - predicted) ** 2))
     total = float(np.sum((logs - logs.mean()) ** 2))
     r2 = 1.0 if total == 0.0 else 1.0 - residual / total
-    return slope, intercept, r2, residual
+    fit = DecayFit(
+        amplitude=float(np.exp(intercept)),
+        gamma=float(-slope),
+        r2=float(r2),
+        window=(int(indices[0]), int(indices[-1])),
+    )
+    return fit, residual
 
 
 def fit_decay(series, window: float = 0.1) -> DecayFit:
@@ -342,14 +329,7 @@ def fit_decay(series, window: float = 0.1) -> DecayFit:
     `window` is the fraction of leading experiments excluded before the
     least-squares line fit; at least 5 positive-loss points must remain.
     """
-    indices, logs = _window_points(series, window)
-    slope, intercept, r2, _ = _line_fit(indices, logs)
-    return DecayFit(
-        amplitude=float(np.exp(intercept)),
-        gamma=float(-slope),
-        r2=float(r2),
-        window=(int(indices[0]), int(indices[-1])),
-    )
+    return _line_fit(*_window_points(series, window))[0]
 
 
 def fit_two_segment(series, window: float = 0.0, min_points: int = 5) -> TwoSegmentFit:
@@ -365,34 +345,22 @@ def fit_two_segment(series, window: float = 0.0, min_points: int = 5) -> TwoSegm
         raise InsufficientData(
             f"{indices.size} points cannot support two segments of {min_points}"
         )
-    _, _, r2_single, _ = _line_fit(indices, logs)
+    r2_single = _line_fit(indices, logs)[0].r2
     total = float(np.sum((logs - logs.mean()) ** 2))
 
     best = None
     for cut in range(min_points, indices.size - min_points + 1):
-        left = _line_fit(indices[:cut], logs[:cut])
-        right = _line_fit(indices[cut:], logs[cut:])
-        residual = left[3] + right[3]
+        left, left_residual = _line_fit(indices[:cut], logs[:cut])
+        right, right_residual = _line_fit(indices[cut:], logs[cut:])
+        residual = left_residual + right_residual
         r2_combined = 1.0 if total == 0.0 else 1.0 - residual / total
         if best is None or r2_combined > best[0]:
             best = (r2_combined, cut, left, right)
 
     r2_combined, cut, left, right = best
-    left_fit = DecayFit(
-        amplitude=float(np.exp(left[1])),
-        gamma=float(-left[0]),
-        r2=float(left[2]),
-        window=(int(indices[0]), int(indices[cut - 1])),
-    )
-    right_fit = DecayFit(
-        amplitude=float(np.exp(right[1])),
-        gamma=float(-right[0]),
-        r2=float(right[2]),
-        window=(int(indices[cut]), int(indices[-1])),
-    )
     return TwoSegmentFit(
-        left=left_fit,
-        right=right_fit,
+        left=left,
+        right=right,
         break_index=int(indices[cut]),
         r2_combined=float(r2_combined),
         r2_single=float(r2_single),

@@ -44,9 +44,6 @@ LIKELIHOOD_FLOOR = 1e-300
 QUBIT_CAP = 14
 ORACLE_QUBIT_CAP = 6
 
-DEFAULT_BOX = (-0.5, 0.5)
-
-
 @dataclass(frozen=True)
 class InteractionGraph:
     """Qubit count plus an edge set; one coupling parameter per edge."""
@@ -114,17 +111,6 @@ class ExperimentSpec:
             object.__setattr__(self, "inversion", inv)
         elif self.inversion is not None:
             raise ValueError(f"{self.kind} experiments take no inversion couplings")
-
-
-def _as_box(box, dimension: int) -> np.ndarray:
-    box = np.asarray(box, dtype=float)
-    if box.ndim == 1:
-        box = np.tile(box, (dimension, 1))
-    if box.shape != (dimension, 2) or np.any(box[:, 0] >= box[:, 1]):
-        raise ValueError("parameter box must be (d, 2) with low < high")
-    box = box.copy()
-    box.setflags(write=False)
-    return box
 
 
 def single_param_likelihood(d: int, x, x_inv, t) -> Union[float, np.ndarray]:
@@ -234,12 +220,11 @@ class IsingModel:
     `LikelihoodEvaluator` share one calling convention.
     """
 
-    def __init__(self, graph: InteractionGraph, box=DEFAULT_BOX):
+    def __init__(self, graph: InteractionGraph):
         if graph.n > QUBIT_CAP:
             raise TooManyQubits(f"{graph.n} qubits exceeds cap {QUBIT_CAP}")
         self.graph = graph
         self.dimension = graph.dimension
-        self.box = _as_box(box, self.dimension)
         self._n_states = 2**graph.n
         self._signs = self._sign_table(graph)
         self._component_masks, forest = _components(graph.n, graph.edges)

@@ -9,6 +9,7 @@ which round-trips IEEE doubles exactly and keeps reruns byte-comparable.
 
 from __future__ import annotations
 
+import json
 import os
 from typing import Optional, Sequence
 
@@ -33,8 +34,7 @@ def _json_scalar(value) -> str:
         return format_float(float(value))
     if value is None:
         return "null"
-    escaped = str(value).replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{escaped}"'
+    return json.dumps(str(value), ensure_ascii=False)
 
 
 def dumps17(obj, indent: int = 0) -> str:

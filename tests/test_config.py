@@ -11,8 +11,13 @@ import numpy as np
 import pytest
 
 from hamlearn.cli import main
-from hamlearn.config import RunConfig, emit_config, parse_config
+from hamlearn.config import ModelConfig, ResampleConfig, RunConfig, config_to_dict, parse_config
 from hamlearn.errors import SchemaError
+
+
+def emit(config):
+    """JSON text of a config, as the golden file is written."""
+    return json.dumps(config_to_dict(config), indent=2) + "\n"
 
 
 class TestParseConfig:
@@ -59,7 +64,7 @@ class TestParseConfig:
 class TestRoundTrip:
     def test_default_round_trip(self):
         config = RunConfig()
-        assert parse_config(emit_config(config)) == config
+        assert parse_config(emit(config)) == config
 
     def test_golden_file_round_trip(self):
         golden = os.path.join(os.path.dirname(__file__), "data", "golden_config.json")
@@ -68,8 +73,8 @@ class TestRoundTrip:
         config = parse_config(text)
         assert config.particles == 5000
         assert config.model.n == 4
-        assert emit_config(config) == text
-        assert parse_config(emit_config(config)) == config
+        assert emit(config) == text
+        assert parse_config(emit(config)) == config
 
     def test_custom_round_trip(self):
         config = parse_config(
@@ -97,7 +102,7 @@ class TestRoundTrip:
                 }
             )
         )
-        assert parse_config(emit_config(config)) == config
+        assert parse_config(emit(config)) == config
 
 
 def leaf_fields(cls=RunConfig, prefix=""):
@@ -114,6 +119,15 @@ def config_setting(path, value):
     for key in reversed(path.split(".")):
         value = {key: value}
     return json.dumps(value)
+
+
+def built_setting(path, value):
+    """A RunConfig built in Python with one dotted field path set to `value`."""
+    *sections, name = path.split(".")
+    if not sections:
+        return RunConfig(**{name: value})
+    section = {f.name: f.default_factory for f in fields(RunConfig)}[sections[0]]
+    return RunConfig(**{sections[0]: section(**{name: value})})
 
 
 # One out-of-range value per bounded field and its full message, pinned so
@@ -150,6 +164,37 @@ class TestSchema:
         with pytest.raises(SchemaError) as info:
             parse_config(config_setting(path, value))
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("path", sorted(OUT_OF_RANGE))
+    def test_built_config_rejects_out_of_range_like_parser(self, path):
+        value, message = OUT_OF_RANGE[path]
+        with pytest.raises(SchemaError) as info:
+            built_setting(path, value)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"model": {"graph": "complete", "n": 3}, "truth": [0.1, 0.2]},
+         "truth: expected length 3, got 2"),
+        ({"model": {"kind": "single"}, "truth": [0.1, 0.2, 0.3]},
+         "truth: expected length 1, got 3"),
+        ({"model": {"graph": "line", "n": 15}}, "model.n: must be at most 14, got 15"),
+    ])
+    def test_built_config_checks_model_block_like_parser(self, setting, message):
+        built = dict(setting, model=ModelConfig(**setting["model"]))
+        for build in (lambda: RunConfig(**built), lambda: parse_config(json.dumps(setting))):
+            with pytest.raises(SchemaError) as info:
+                build()
+            assert str(info.value) == message
+
+    def test_built_config_stores_parsed_values(self):
+        setting = {"model": {"graph": [[0, 1], [1, 2]], "box": [0, 2]},
+                   "resample": {"threshold": 1}, "truth": [1, 0.5]}
+        built = RunConfig(model=ModelConfig(graph=[[0, 1], [1, 2]], box=[0, 2]),
+                          resample=ResampleConfig(threshold=1), truth=[1, 0.5])
+        assert built == parse_config(json.dumps(setting))
+        assert built.model.graph == ((0, 1), (1, 2))
+        assert built.model.box == (0.0, 2.0) and isinstance(built.resample.threshold, float)
+        assert built.truth == (1.0, 0.5)
 
     def test_out_of_range_table_covers_every_bounded_field(self):
         bounded = {path for path, f in leaf_fields() if f.metadata.get("bound")}
@@ -279,6 +324,10 @@ class TestCli:
         (["--points", "0"], "--points"),
         (["--sigma", "0"], "--sigma"),
         (["--alpha", "0.7"], "--alpha"),
+        (["--mu", "inf"], "--mu"),
+        (["--mu", "nan"], "--mu"),
+        (["--strategy", "fixed", "--x-inv", "inf"], "--x-inv"),
+        (["--strategy", "fixed", "--x-inv", "nan"], "--x-inv"),
     ])
     def test_risk_rejects_unservable_flags(self, tmp_path, capsys, flags, named):
         out_dir = str(tmp_path / "risk")
@@ -364,3 +413,10 @@ class TestCli:
         assert meta["config"]["model"]["kind"] == "single"
         assert "numpy" in meta["versions"]
         assert len(meta["trial_seeds"]) == 2
+
+    def test_meta_escapes_control_characters(self, tmp_path):
+        config_path = write_config(tmp_path)
+        out_dir = str(tmp_path / "o\tu\nt")
+        assert main(["learn", "--config", config_path, "--out", out_dir]) == 0
+        with open(os.path.join(out_dir, "meta.json")) as handle:
+            assert json.load(handle)["config"]["out"] == out_dir

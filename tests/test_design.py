@@ -1,10 +1,13 @@
 """Unit tests for experiment design."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from hamlearn.config import RunConfig
 from hamlearn.design import PghConfig, pgh
-from hamlearn.errors import DegenerateCloud
+from hamlearn.errors import DegenerateCloud, SchemaError
 from hamlearn.models import CLE, IQLE, QLE
 from hamlearn.smc import ParticleCloud
 
@@ -135,3 +138,20 @@ class TestPgh:
             medians.append(np.median(times))
         ratio = medians[1] / medians[0]
         assert 8.0 < ratio < 12.0
+
+
+class TestPghConfig:
+    def test_defaults_are_the_run_config_sections(self):
+        defaults = RunConfig()
+        for f in fields(PghConfig):
+            section = defaults.pgh if hasattr(defaults.pgh, f.name) else defaults.experiment
+            assert getattr(PghConfig(), f.name) == getattr(section, f.name), f.name
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"t_max": 0}, "t_max: must be positive"),
+        ({"kind": "XLE"}, "kind: expected one of ['CLE', 'IQLE', 'QLE'], got 'XLE'"),
+    ])
+    def test_checked_when_built(self, setting, message):
+        with pytest.raises(SchemaError) as info:
+            PghConfig(**setting)
+        assert str(info.value) == message

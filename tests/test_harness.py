@@ -11,7 +11,7 @@ import pytest
 
 from hamlearn.config import EvaluatorConfig, ExperimentConfig, ModelConfig, RunConfig
 from hamlearn.design import PghConfig, pgh
-from hamlearn.errors import InsufficientData
+from hamlearn.errors import InsufficientData, SchemaError
 from hamlearn.harness import (
     ExperimentRecord,
     LossTrajectory,
@@ -26,7 +26,7 @@ from hamlearn.harness import (
     summarize_losses,
     trial_seeds_for,
 )
-from hamlearn.models import IQLE, TWO_OUTCOME, ExperimentSpec, InteractionGraph, IsingModel
+from hamlearn.models import IQLE, TWO_OUTCOME, ExperimentSpec
 
 
 def single_param_config(**overrides):
@@ -125,10 +125,10 @@ class TestFitTwoSegment:
 
 class TestRunTrial:
     def test_zero_experiments(self):
-        config = single_param_config(n_experiments=0)
-        rng = np.random.default_rng(1)
-        trajectory = run_trial(config, [0.0], rng)
-        assert len(trajectory) == 0
+        # A trial of no experiments is not a config the schema admits.
+        with pytest.raises(SchemaError) as info:
+            single_param_config(n_experiments=0)
+        assert str(info.value) == "n_experiments: must be at least 1, got 0"
 
     @staticmethod
     def _improved_trials(designer=None):
@@ -270,8 +270,10 @@ class TestDrawTruthAndPrior:
 
     @staticmethod
     def _written_out_draws(config, model, rng):
-        # The truth and the prior cloud as two separately written formulas.
-        box, d, size = model.box, model.dimension, config.particles
+        # The truth and the prior cloud as two separately written formulas,
+        # drawn from the box tiled per edge.
+        d, size = model.dimension, config.particles
+        box = np.tile(config.model.box, (d, 1))
         if config.model.degenerate_couplings:
             shared = rng.uniform(box[0, 0], box[0, 1])
             truth = np.clip(shared + rng.normal(0.0, 1e-2, size=d), box[:, 0], box[:, 1])
@@ -308,17 +310,16 @@ class TestDrawTruthAndPrior:
 class TestUniformCloud:
     def test_inside_box_and_normalized(self):
         rng = np.random.default_rng(11)
-        model = IsingModel(InteractionGraph.line(3), box=[[-1.0, 2.0], [5.0, 6.0]])
-        cloud = draw_prior_cloud(RunConfig(particles=500), model, rng)
+        config = RunConfig(model=ModelConfig(graph="line", n=3, box=(5.0, 6.0)), particles=500)
+        cloud = draw_prior_cloud(config, build_model(config.model), rng)
         assert cloud.dimension == 2
-        assert np.all(cloud.positions[:, 0] >= -1.0) and np.all(cloud.positions[:, 0] <= 2.0)
-        assert np.all(cloud.positions[:, 1] >= 5.0) and np.all(cloud.positions[:, 1] <= 6.0)
+        assert np.all(cloud.positions >= 5.0) and np.all(cloud.positions <= 6.0)
         assert abs(cloud.weights.sum() - 1.0) < 1e-12
 
     def test_cloud_arrays_read_only(self):
         rng = np.random.default_rng(12)
-        model = IsingModel(InteractionGraph.line(2), box=[[0.0, 1.0]])
-        cloud = draw_prior_cloud(RunConfig(particles=10), model, rng)
+        config = RunConfig(model=ModelConfig(kind="single", box=(0.0, 1.0)), particles=10)
+        cloud = draw_prior_cloud(config, build_model(config.model), rng)
         with pytest.raises(ValueError):
             cloud.weights[0] = 2.0
         with pytest.raises(ValueError):
