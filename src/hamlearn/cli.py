@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import RunConfig, parse_config_file
+from .config import RunConfig, check_as_field, parse_config_file
 from .errors import HamlearnError, SchemaError
 from .harness import _keep_freed_heap, fit_decay, run_ensemble, scaling_study
 from .models import (
@@ -41,8 +41,14 @@ def _load_config(args) -> RunConfig:
     return replace(config, **overrides)
 
 
+def _check_at_least(flag: str, value: int, minimum: int) -> None:
+    if value < minimum:
+        raise SchemaError(f"{flag}: must be at least {minimum}, got {value}")
+
+
 def _cmd_learn(args) -> int:
     config = _load_config(args)
+    _check_at_least("--threads", args.threads, 0)
     out_dir = config.out or "results"
     result = run_ensemble(config, threads=args.threads)
     paths = emit_results(result, out_dir)
@@ -62,8 +68,8 @@ def _check_risk_args(args) -> None:
         raise SchemaError(f"--sigma: must be positive, got {args.sigma}")
     if not 0.0 <= args.alpha <= 0.5:
         raise SchemaError(f"--alpha: must lie in [0, 0.5], got {args.alpha}")
-    if args.points < 1:
-        raise SchemaError(f"--points: must be at least 1, got {args.points}")
+    _check_at_least("--points", args.points, 1)
+    check_as_field("seed", args.seed, "--seed")
     for flag, value in (("--mu", args.mu), ("--x-inv", args.x_inv)):
         if not np.isfinite(value):
             raise SchemaError(f"{flag}: must be finite, got {value}")
@@ -84,7 +90,7 @@ def _cmd_risk(args) -> int:
     t_max = args.t_max if args.t_max is not None else 4.0 / args.sigma
     grid = np.linspace(t_max / args.points, t_max, args.points)
     strategy = args.strategy if args.strategy != "fixed" else args.x_inv
-    rng = np.random.default_rng(args.seed or 0)
+    rng = np.random.default_rng(args.seed)
     points = risk_scan(prior, strategy, grid, alpha=args.alpha, rng=rng,
                        pgh_draws=args.pgh_draws)
     os.makedirs(args.out, exist_ok=True)
@@ -117,6 +123,7 @@ def _check_scaling_sizes(config: RunConfig, sizes) -> None:
 def _cmd_scaling(args) -> int:
     config = _load_config(args)
     _check_scaling_sizes(config, args.n)
+    _check_at_least("--threads", args.threads, 0)
     out_dir = config.out or "results"
     rows, results = scaling_study(config, args.n, threads=args.threads)
     os.makedirs(out_dir, exist_ok=True)
@@ -135,6 +142,7 @@ def _cmd_scaling(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    check_as_field("fit_window", args.window, "--window")
     with open(args.input, "r", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or args.column not in reader.fieldnames:
@@ -186,7 +194,9 @@ def _cmd_validate(args) -> int:
     from .risk import (GaussianPrior1D, bayes_risk_1d, posterior_mean_1d,
                        quadrature_bayes_risk_1d, quadrature_posterior_mean_1d)
 
-    rng = np.random.default_rng(args.seed or 0)
+    _check_at_least("--instances", args.instances, 1)
+    check_as_field("seed", args.seed, "--seed")
+    rng = np.random.default_rng(args.seed)
     passed = []
 
     def report(ok: bool, message: str) -> None:

@@ -244,6 +244,13 @@ def model_graph(model: ModelConfig) -> InteractionGraph:
         raise _fail("model.graph", str(exc)) from None
 
 
+def check_as_field(name: str, value, path: str):
+    """`value` parsed and checked as the `RunConfig` field `name` is, with
+    `path` (a command-line flag, say) naming it in any SchemaError."""
+    spec = next(f for f in fields(RunConfig) if f.name == name)
+    return _convert(value, path, spec.metadata["kind"], spec.metadata["bound"])
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate JSON configuration text into a RunConfig."""
     try:

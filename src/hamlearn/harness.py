@@ -1,10 +1,10 @@
 """Batch orchestration of learning trials.
 
-One trial runs the full loop: design an experiment from the posterior, draw
-an outcome at the hidden true couplings, reweight the cloud, resample when
-the effective sample size sags, and record the quadratic loss.  Ensembles
-run many trials on independent RNG streams and aggregate loss percentiles;
-decay-exponent fits summarize how fast the loss shrinks.
+`trial_steps` is the one trial loop: design an experiment from the posterior,
+draw an outcome at the hidden truth, reweight, resample when the effective
+sample size sags, and yield a `Step`.  `run_trial` reduces the steps to loss
+records.  Ensembles run trials on independent RNG streams and aggregate loss
+percentiles; decay-exponent fits summarize how fast the loss shrinks.
 """
 
 from __future__ import annotations
@@ -12,14 +12,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .config import ModelConfig, RunConfig, model_graph
 from .design import PghConfig, pgh
 from .errors import DegenerateCloud, InsufficientData, ZeroTotalWeight
-from .models import TWO_OUTCOME, IsingModel
+from .models import TWO_OUTCOME, ExperimentSpec, IsingModel
 from .simulate import LikelihoodEvaluator, sample_outcome
 from .smc import (
     ParticleCloud,
@@ -33,9 +33,8 @@ from .smc import (
 
 @dataclass(frozen=True)
 class ExperimentRecord:
-    """One completed experiment inside a trial."""
+    """One completed experiment inside a trial; its index is its position."""
 
-    index: int
     loss: float
     ess: float
     resampled: bool
@@ -46,10 +45,9 @@ class ExperimentRecord:
 
 @dataclass(frozen=True)
 class LossTrajectory:
-    """Per-experiment records for one trial, and the truth it learned."""
+    """Per-experiment records for one trial."""
 
     records: Tuple[ExperimentRecord, ...]
-    truth: np.ndarray
 
     def losses(self) -> np.ndarray:
         return np.array([r.loss for r in self.records])
@@ -131,6 +129,57 @@ def draw_prior_cloud(
     return ParticleCloud(positions, np.full(config.particles, 1.0 / config.particles))
 
 
+class Step(NamedTuple):
+    """One experiment: its design, the datum, and the filter's state after it."""
+
+    spec: ExperimentSpec
+    datum: int
+    cloud: ParticleCloud
+    ess: float
+    resampled: bool
+    skipped: bool
+
+
+def trial_steps(
+    config: RunConfig,
+    truth,
+    rng: np.random.Generator,
+    model: Optional[IsingModel] = None,
+    designer: Optional[Callable] = None,
+) -> Iterator[Step]:
+    """The trial loop: one `Step` per experiment, up to `config.n_experiments`.
+
+    `designer(cloud, rng) -> ExperimentSpec` defaults to the particle guess
+    heuristic.  A zero-total-weight update is a skipped step that keeps its
+    cloud; a collapsed cloud ends the stream early.
+    """
+    model = model if model is not None else build_model(config.model)
+    evaluator = LikelihoodEvaluator(model, **vars(config.evaluator))
+    if designer is None:
+        pgh_cfg = PghConfig(**vars(config.pgh), **vars(config.experiment))
+        designer = lambda cloud, stream: pgh(cloud, pgh_cfg, stream)
+    cloud = draw_prior_cloud(config, model, rng)
+    for _ in range(config.n_experiments):
+        try:
+            spec = designer(cloud, rng)
+        except DegenerateCloud:
+            return
+        datum = sample_outcome(model, truth, spec, rng)
+        if config.bitflip_alpha > 0 and spec.measurement == TWO_OUTCOME:
+            if rng.random() < config.bitflip_alpha:
+                datum = 1 - datum
+        try:
+            cloud, ess = bayes_update(cloud, datum, spec, evaluator, rng=rng)
+        except ZeroTotalWeight:
+            yield Step(spec, datum, cloud, effective_sample_size(cloud), False, True)
+            continue
+        resampled = ess < config.resample.threshold * cloud.size
+        if resampled:
+            cloud = liu_west_resample(cloud, config.resample.a, rng)
+            ess = effective_sample_size(cloud)
+        yield Step(spec, datum, cloud, ess, resampled, False)
+
+
 def run_trial(
     config: RunConfig,
     truth,
@@ -138,62 +187,22 @@ def run_trial(
     model: Optional[IsingModel] = None,
     designer: Optional[Callable] = None,
 ) -> LossTrajectory:
-    """Run one learning trial of `config.n_experiments` experiments.
-
-    `designer(cloud, rng) -> ExperimentSpec` defaults to the particle guess
-    heuristic.  A zero-total-weight update is recorded as skipped (the
-    experiment still consumes an index); a collapsed cloud ends the trial
-    early, with fewer than `config.n_experiments` records.
-    """
+    """Reduce one trial's `trial_steps` to one record per step."""
     model = model if model is not None else build_model(config.model)
     evaluator = LikelihoodEvaluator(model, **vars(config.evaluator))
-    truth = np.asarray(truth, dtype=float)
-    if designer is None:
-        pgh_cfg = PghConfig(**vars(config.pgh), **vars(config.experiment))
-        designer = lambda cloud, stream: pgh(cloud, pgh_cfg, stream)
-
-    cloud = draw_prior_cloud(config, model, rng)
+    per_update = evaluator.calls_per_update(config.particles)
     records: List[ExperimentRecord] = []
-    sim_calls = 0
-
-    for index in range(config.n_experiments):
-        try:
-            spec = designer(cloud, rng)
-        except DegenerateCloud:
-            break
-        datum = sample_outcome(model, truth, spec, rng)
-        if config.bitflip_alpha > 0 and spec.measurement == TWO_OUTCOME:
-            if rng.random() < config.bitflip_alpha:
-                datum = 1 - datum
-        skipped = False
-        resampled = False
-        sim_calls += evaluator.calls_per_update(cloud.size)
-        try:
-            update = bayes_update(
-                cloud, datum, spec, evaluator, rng=rng,
-                resample_threshold=config.resample.threshold,
-            )
-            cloud = update.cloud
-            ess = update.ess
-            if update.resample_due:
-                cloud = liu_west_resample(cloud, config.resample.a, rng)
-                resampled = True
-                ess = effective_sample_size(cloud)
-        except ZeroTotalWeight:
-            skipped = True
-            ess = effective_sample_size(cloud)
-        records.append(
-            ExperimentRecord(
-                index=index,
-                loss=quadratic_loss(posterior_mean(cloud), truth),
-                ess=ess,
-                resampled=resampled,
-                time=spec.time,
-                sim_calls=sim_calls,
-                skipped=skipped,
-            )
-        )
-    return LossTrajectory(tuple(records), truth)
+    for step in trial_steps(config, truth, rng, model, designer):
+        records.append(ExperimentRecord(
+            loss=quadratic_loss(posterior_mean(step.cloud), truth),
+            ess=step.ess,
+            resampled=step.resampled,
+            time=step.spec.time,
+            sim_calls=(len(records) + 1) * per_update,
+            skipped=step.skipped,
+        ))
+        del step  # hold no step's cloud while the loop computes the next step
+    return LossTrajectory(tuple(records))
 
 
 @functools.cache
@@ -266,9 +275,8 @@ def run_ensemble(
     summary = summarize_losses(trajectories)
     fits = []
     for trajectory in trajectories:
-        series = [(r.index, r.loss) for r in trajectory.records]
         try:
-            fits.append(fit_decay(series, window=config.fit_window))
+            fits.append(fit_decay(enumerate(trajectory.losses()), window=config.fit_window))
         except InsufficientData:
             fits.append(None)
     return EnsembleResult(

@@ -86,7 +86,9 @@ class InteractionGraph:
 class ExperimentSpec:
     """One experiment: kind, evolution time, optional inversion couplings.
 
-    IQLE experiments must carry inversion couplings; CLE/QLE must not.
+    IQLE experiments must carry inversion couplings; CLE/QLE must not, and
+    the two design and score the same experiment here: the likelihood's
+    source is the evaluator's mode, not the kind.
     `measurement` selects between the full X-basis outcome register and the
     two-outcome POVM {returned to |+>^n, anything orthogonal}.
     """
@@ -262,11 +264,6 @@ class IsingModel:
     def outcome_count(self, exp: ExperimentSpec) -> int:
         return 2 if exp.measurement == TWO_OUTCOME else self._n_states
 
-    def _check_outcome(self, outcome: int, exp: ExperimentSpec) -> None:
-        count = self.outcome_count(exp)
-        if not 0 <= outcome < count:
-            raise ValueError(f"outcome {outcome} outside [0, {count})")
-
     def _check_params(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float).ravel()
         if x.shape[0] != self.dimension:
@@ -318,7 +315,9 @@ class IsingModel:
         a forest, as 1 - exp(-sum_e log(1 + u_e^2)), free of cancellation as
         the return probability nears 1; with a cycle it is 1 - p0.
         """
-        self._check_outcome(outcome, exp)
+        count = self.outcome_count(exp)
+        if not 0 <= outcome < count:
+            raise ValueError(f"outcome {outcome} outside [0, {count})")
         xs = np.asarray(xs, dtype=float)
         if xs.ndim == 1:
             xs = xs.reshape(-1, 1)

@@ -59,10 +59,10 @@ def dumps17(obj, indent: int = 0) -> str:
 def write_trajectories_jsonl(path, trajectories: Sequence[LossTrajectory]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for trial, trajectory in enumerate(trajectories):
-            for record in trajectory.records:
+            for index, record in enumerate(trajectory.records):
                 fields = {
                     "trial": trial,
-                    "index": record.index,
+                    "index": index,
                     "loss": record.loss,
                     "ess": record.ess,
                     "resampled": record.resampled,

@@ -181,8 +181,7 @@ def quadrature_posterior_mean_1d(d: int, prior: GaussianPrior1D, x_inv: float, t
 
 
 def _risk(prior: GaussianPrior1D, x_inv: float, t: float, alpha: float, raw_moments) -> float:
-    if not 0.0 <= alpha <= 0.5:
-        raise ValueError("bit-flip rate must lie in [0, 0.5]")
+    # `bitflip_wrap` rejects an alpha outside [0, 0.5].
     moments = _posterior_moments(prior, x_inv, t, raw_moments)
     return sum(bitflip_wrap(alpha, mass) * variance for mass, _, variance in moments)
 

@@ -121,7 +121,6 @@ def _reweighted(cloud: ParticleCloud, weights: np.ndarray) -> ParticleCloud:
 class BayesUpdate(NamedTuple):
     cloud: ParticleCloud
     ess: float
-    resample_due: bool
 
 
 def bayes_update(
@@ -130,7 +129,6 @@ def bayes_update(
     exp,
     model,
     rng: Optional[np.random.Generator] = None,
-    resample_threshold: float = 0.5,
 ) -> BayesUpdate:
     """Reweight the cloud by the likelihood of `outcome` and renormalize.
 
@@ -138,8 +136,7 @@ def bayes_update(
     stochastic likelihood evaluators consume `rng`, exact models ignore it.
     Raises ZeroTotalWeight (leaving `cloud` untouched) when every particle is
     assigned zero likelihood; the caller decides whether to discard the datum.
-    The returned flag reports whether the post-update effective sample size
-    fell below ``resample_threshold * cloud.size``.
+    Returns the new cloud and its effective sample size.
     """
     likelihoods = np.asarray(
         model.likelihood_many(outcome, cloud.positions, exp, rng=rng), dtype=float
@@ -152,8 +149,7 @@ def bayes_update(
         raise ZeroTotalWeight("outcome has zero likelihood under every hypothesis")
     weights /= total
     updated = _reweighted(cloud, weights)
-    ess = effective_sample_size(updated)
-    return BayesUpdate(updated, ess, ess < resample_threshold * updated.size)
+    return BayesUpdate(updated, effective_sample_size(updated))
 
 
 def effective_sample_size(cloud: ParticleCloud) -> float:

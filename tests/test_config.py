@@ -255,6 +255,7 @@ class TestCli:
         ("--trials", "0", "trials"),
         ("--trials", "-3", "trials"),
         ("--seed", "-1", "seed"),
+        ("--threads", "-3", "--threads"),
     ])
     def test_overrides_pass_schema_checks(self, tmp_path, capsys, command, flag, value, field):
         config_path = write_config(tmp_path)
@@ -328,6 +329,7 @@ class TestCli:
         (["--mu", "nan"], "--mu"),
         (["--strategy", "fixed", "--x-inv", "inf"], "--x-inv"),
         (["--strategy", "fixed", "--x-inv", "nan"], "--x-inv"),
+        (["--seed", "-1"], "--seed"),
     ])
     def test_risk_rejects_unservable_flags(self, tmp_path, capsys, flags, named):
         out_dir = str(tmp_path / "risk")
@@ -368,17 +370,43 @@ class TestCli:
         assert lines[0] == "x_inv,t,alpha,risk,stderr"
         assert len(lines) == 6
 
-    def test_fit_refits_summary(self, tmp_path, capsys):
+    @staticmethod
+    def write_summary(tmp_path):
         path = tmp_path / "summary.csv"
         rows = ["experiment_index,p25,p50,p75"]
         for k in range(40):
             value = 2.0 * np.exp(-0.1 * k)
             rows.append(f"{k},{value},{value},{value}")
         path.write_text("\n".join(rows) + "\n")
-        assert main(["fit", "--input", str(path), "--column", "p50", "--window", "0.0"]) == 0
+        return str(path)
+
+    def test_fit_refits_summary(self, tmp_path, capsys):
+        path = self.write_summary(tmp_path)
+        assert main(["fit", "--input", path, "--column", "p50", "--window", "0.0"]) == 0
         out = capsys.readouterr().out
         gamma = float(out.split("gamma=")[1].split()[0])
         assert gamma == pytest.approx(0.1, rel=1e-9)
+
+    @pytest.mark.parametrize("argv, named", [
+        (["validate", "--instances", "0"], "--instances"),
+        (["validate", "--instances", "-5"], "--instances"),
+        (["validate", "--seed", "-1"], "--seed"),
+        (["fit", "--window", "-0.5"], "--window"),
+        (["fit", "--window", "1"], "--window"),
+        (["fit", "--window", "nan"], "--window"),
+        (["fit", "--window", "inf"], "--window"),
+    ])
+    def test_validate_and_fit_reject_unservable_flags(self, tmp_path, capsys, argv, named):
+        # No check reports on instances it never ran, and no fit runs on
+        # a window it cannot serve.
+        out_dir = tmp_path / "fit"
+        if argv[0] == "fit":
+            argv = argv + ["--input", self.write_summary(tmp_path), "--out", str(out_dir)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {named}: ")
+        assert captured.out == ""
+        assert not os.path.exists(out_dir)
 
     def test_validate_passes(self, capsys):
         assert main(["validate", "--instances", "5", "--seed", "1"]) == 0

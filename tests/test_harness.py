@@ -9,7 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from hamlearn.config import EvaluatorConfig, ExperimentConfig, ModelConfig, RunConfig
+from hamlearn.config import (EvaluatorConfig, ExperimentConfig, ModelConfig, ResampleConfig,
+                             RunConfig, model_graph)
 from hamlearn.design import PghConfig, pgh
 from hamlearn.errors import InsufficientData, SchemaError
 from hamlearn.harness import (
@@ -25,8 +26,11 @@ from hamlearn.harness import (
     scaling_study,
     summarize_losses,
     trial_seeds_for,
+    trial_steps,
 )
-from hamlearn.models import IQLE, TWO_OUTCOME, ExperimentSpec
+from hamlearn.models import IQLE, TWO_OUTCOME, ExperimentSpec, IsingModel
+from hamlearn.simulate import LikelihoodEvaluator
+from hamlearn.smc import bayes_update, effective_sample_size, posterior_mean, quadratic_loss
 
 
 def single_param_config(**overrides):
@@ -185,8 +189,8 @@ class TestRunTrial:
         config = single_param_config(particles=128, n_experiments=12)
         rng = np.random.default_rng(2)
         trajectory = run_trial(config, [0.1], rng)
-        for record in trajectory.records:
-            assert record.sim_calls == (record.index + 1) * 128
+        for index, record in enumerate(trajectory.records):
+            assert record.sim_calls == (index + 1) * 128
 
     def test_cost_ledger_sampled_mode(self):
         config = single_param_config(
@@ -196,7 +200,7 @@ class TestRunTrial:
         )
         rng = np.random.default_rng(3)
         trajectory = run_trial(config, [0.1], rng)
-        assert trajectory.records[-1].sim_calls == 5 * 64 * 7
+        assert [r.sim_calls for r in trajectory.records] == [k * 64 * 7 for k in range(1, 6)]
 
     def test_ess_equals_count_after_resample(self):
         config = single_param_config(particles=300, n_experiments=60)
@@ -211,6 +215,86 @@ class TestRunTrial:
         config = single_param_config()
         with pytest.raises(Exception):
             run_trial(config, [0.1, 0.2], np.random.default_rng(5))
+
+
+class TestTrialSteps:
+    @pytest.mark.parametrize("overrides, calls_per_update", [
+        ({}, 300),
+        ({"evaluator": EvaluatorConfig(mode="sampled", n_samp=20), "bitflip_alpha": 0.05},
+         300 * 20),
+    ], ids=["exact", "sampled-bitflip"])
+    def test_run_trial_reduces_the_step_stream(self, overrides, calls_per_update):
+        config = single_param_config(particles=300, n_experiments=40, **overrides)
+        model = build_model(config.model)
+        records = run_trial(config, [0.15], np.random.default_rng(9), model=model).records
+        steps = list(trial_steps(config, [0.15], np.random.default_rng(9), model=model))
+        assert len(steps) == 40 and any(step.resampled for step in steps)
+        assert records == tuple(
+            ExperimentRecord(
+                loss=quadratic_loss(posterior_mean(step.cloud), [0.15]),
+                ess=step.ess,
+                resampled=step.resampled,
+                time=step.spec.time,
+                sim_calls=(index + 1) * calls_per_update,
+                skipped=step.skipped,
+            )
+            for index, step in enumerate(steps)
+        )
+
+    @pytest.mark.parametrize("threshold", [0.2, 0.5, 0.8])
+    def test_resamples_exactly_when_the_update_ess_is_below_threshold(self, threshold):
+        # The exact evaluator draws nothing, so rescoring each step's datum
+        # on the cloud it was designed from repeats the loop's update.
+        config = single_param_config(
+            particles=400, n_experiments=40, resample=ResampleConfig(threshold=threshold)
+        )
+        model = build_model(config.model)
+        evaluator = LikelihoodEvaluator(model)
+        prior = draw_prior_cloud(config, model, np.random.default_rng(10))
+        steps = list(trial_steps(config, [0.15], np.random.default_rng(10), model=model))
+        before = [prior] + [step.cloud for step in steps[:-1]]
+        due = []
+        for cloud, step in zip(before, steps):
+            update = bayes_update(cloud, step.datum, step.spec, evaluator)
+            due.append(update.ess < threshold * config.particles)
+            assert step.resampled == due[-1]
+            if not step.resampled:
+                assert step.ess == update.ess
+                assert step.cloud.weights.tobytes() == update.cloud.weights.tobytes()
+        assert any(due) and not all(due)
+
+    def test_zero_weight_step_is_skipped_and_keeps_its_cloud(self):
+        class BlindAtTimeZero(IsingModel):
+            # Every hypothesis scores zero at t = 0, so that update has no weight.
+            def likelihood_many(self, outcome, xs, exp, rng=None):
+                values = super().likelihood_many(outcome, xs, exp)
+                return values * 0.0 if exp.time == 0.0 else values
+
+        config = single_param_config(particles=200, n_experiments=8)
+        model = BlindAtTimeZero(model_graph(config.model))
+        pgh_cfg = PghConfig(kind=IQLE, measurement=TWO_OUTCOME)
+
+        def blind_fourth_designer():
+            designed = []
+
+            def designer(cloud, rng):
+                spec = pgh(cloud, pgh_cfg, rng)
+                designed.append(spec)
+                if len(designed) == 4:
+                    return ExperimentSpec(IQLE, 0.0, spec.inversion, TWO_OUTCOME)
+                return spec
+            return designer
+
+        steps = list(trial_steps(config, [0.1], np.random.default_rng(11), model=model,
+                                 designer=blind_fourth_designer()))
+        assert [step.skipped for step in steps] == [k == 3 for k in range(8)]
+        assert steps[3].cloud is steps[2].cloud
+        assert not steps[3].resampled
+        assert steps[3].ess == effective_sample_size(steps[2].cloud)
+        records = run_trial(config, [0.1], np.random.default_rng(11), model=model,
+                            designer=blind_fourth_designer()).records
+        assert [r.skipped for r in records] == [k == 3 for k in range(8)]
+        assert records[3].loss == records[2].loss
 
 
 class TestDrawTruthAndPrior:
@@ -448,11 +532,12 @@ class TestKeepFreedHeap:
 
 
 def make_trajectory(losses):
+    # A record's index is its position in the trajectory.
     records = tuple(
-        ExperimentRecord(i, loss, 1.0, False, 1.0, i, 0.0)
+        ExperimentRecord(loss, 1.0, False, 1.0, i, False)
         for i, loss in enumerate(losses)
     )
-    return LossTrajectory(records, np.zeros(1))
+    return LossTrajectory(records)
 
 
 class TestSummarizeLosses:

@@ -100,13 +100,6 @@ class TestBayesUpdate:
         with pytest.raises(ValueError):
             updated.positions[0, 0] = 1.0
 
-    def test_resample_flag(self):
-        cloud = ParticleCloud(np.arange(4.0).reshape(-1, 1), np.full(4, 0.25))
-        concentrated = bayes_update(cloud, 0, None, _ConstantModel([1.0, 1e-9, 1e-9, 1e-9]))
-        assert concentrated.resample_due
-        flat = bayes_update(cloud, 0, None, _ConstantModel([1.0, 1.0, 1.0, 1.0]))
-        assert not flat.resample_due
-
     def test_permutation_commutes(self):
         rng = np.random.default_rng(1)
         cloud = random_cloud(rng)
