@@ -64,8 +64,8 @@ def _cmd_learn(args) -> int:
 
 
 def _check_risk_args(args) -> None:
-    if not args.sigma > 0:
-        raise SchemaError(f"--sigma: must be positive, got {args.sigma}")
+    if not (args.sigma > 0 and np.isfinite(args.sigma * args.sigma)):
+        raise SchemaError(f"--sigma: must be positive with a finite square, got {args.sigma}")
     if not 0.0 <= args.alpha <= 0.5:
         raise SchemaError(f"--alpha: must lie in [0, 0.5], got {args.alpha}")
     _check_at_least("--points", args.points, 1)
@@ -73,6 +73,8 @@ def _check_risk_args(args) -> None:
     for flag, value in (("--mu", args.mu), ("--x-inv", args.x_inv)):
         if not np.isfinite(value):
             raise SchemaError(f"{flag}: must be finite, got {value}")
+    if not np.isfinite(args.mu * args.mu + args.sigma * args.sigma):
+        raise SchemaError(f"--mu: mu^2 + sigma^2 must be finite, got {args.mu}")
     if args.t_max is not None and not (np.isfinite(args.t_max) and args.t_max > 0):
         raise SchemaError(f"--t-max: must be positive and finite, got {args.t_max}")
     if args.strategy == "pgh" and args.pgh_draws < 2:

@@ -330,6 +330,9 @@ class TestCli:
         (["--strategy", "fixed", "--x-inv", "inf"], "--x-inv"),
         (["--strategy", "fixed", "--x-inv", "nan"], "--x-inv"),
         (["--seed", "-1"], "--seed"),
+        (["--sigma", "inf"], "--sigma"),
+        (["--sigma", "1e200"], "--sigma"),
+        (["--mu", "1e200"], "--mu"),
     ])
     def test_risk_rejects_unservable_flags(self, tmp_path, capsys, flags, named):
         out_dir = str(tmp_path / "risk")

@@ -7,9 +7,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamlearn.risk import (
+    _BLOCK_ELEMENTS,
     GaussianPrior1D,
+    RiskPoint,
     bayes_risk_1d,
     optimal_time,
     posterior_mean_1d,
@@ -149,11 +153,13 @@ class TestBayesRisk1d:
 
     def test_uninformative_at_huge_time(self):
         # the data oscillate far faster than the prior width: no information
+        # (from 1e160 on, shift^2 overflows; the envelope has long underflowed)
         prior = GaussianPrior1D(0.5, 0.1)
-        for alpha in (0.0, 0.1):
-            assert bayes_risk_1d(prior, 0.6, 1e8, alpha) == pytest.approx(
-                prior.sigma**2, rel=1e-12
-            )
+        for t in (1e8, 1e160, 1e200, 1e300):
+            for alpha in (0.0, 0.1):
+                assert bayes_risk_1d(prior, 0.6, t, alpha) == pytest.approx(
+                    prior.sigma**2, rel=1e-12
+                )
 
     def test_matches_simpson_reference(self):
         # Outcome 1 is integrated from sin^2 directly, never as 1 - mass_0, so
@@ -197,6 +203,91 @@ class TestBayesRisk1d:
                 gap = abs(bayes_risk_1d(prior, x_inv, t, alpha)
                           - quadrature_bayes_risk_1d(prior, x_inv, t, alpha))
                 assert gap < 1e-9 * sigma**2
+
+
+class TestUnservableInputs:
+    @pytest.mark.parametrize("mu, sigma", [
+        (math.nan, 0.1), (math.inf, 0.1), (0.5, math.inf), (0.5, math.nan), (0.5, 0.0),
+        (0.5, 1e200), (1e200, 0.1),
+    ])
+    def test_prior_rejects_non_finite_moments(self, mu, sigma):
+        with pytest.raises(ValueError, match="must be"):
+            GaussianPrior1D(mu, sigma)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+    def test_scan_rejects_time(self, t):
+        for strategy in ("none", "pgh"):
+            with pytest.raises(ValueError, match=f"nonnegative, got {t}"):
+                risk_scan(GaussianPrior1D(0.5, 0.1), strategy, [1.0, t],
+                          rng=np.random.default_rng(0), pgh_draws=4)
+
+    def test_point_rejects_nan_risk(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            RiskPoint(0.6, 1.0, 0.0, math.nan)
+
+
+class TestArrayRisk:
+    """The scan scores blocks of time rows with one array call; each row must
+    equal the scalar calls it replaces, bit for bit."""
+
+    prior = GaussianPrior1D(0.5, 0.1)
+    grid = np.linspace(0.8, 40.0, 50)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    def test_fixed_rows_equal_scalar_calls(self, alpha):
+        for strategy, x_inv in (("none", 0.0), ("mean_plus_sigma", 0.6),
+                                ("mean_minus_sigma", 0.4), (0.37, 0.37)):
+            points = risk_scan(self.prior, strategy, self.grid, alpha)
+            assert [p.x_inv for p in points] == pytest.approx([x_inv] * len(self.grid))
+            assert [p.risk for p in points] == [
+                bayes_risk_1d(self.prior, p.x_inv, t, alpha) for p, t in zip(points, self.grid)
+            ]
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.1])
+    def test_pgh_rows_equal_per_draw_scalar_calls(self, alpha):
+        draws = 40
+        points = risk_scan(self.prior, "pgh", self.grid, alpha,
+                           rng=np.random.default_rng(3), pgh_draws=draws)
+        rng = np.random.default_rng(3)
+        for point, t in zip(points, self.grid):
+            risks = np.array([bayes_risk_1d(self.prior, float(x), float(t), alpha)
+                              for x in rng.normal(self.prior.mu, self.prior.sigma, draws)])
+            assert point.risk == np.mean(risks)
+            assert point.stderr == np.std(risks, ddof=1) / math.sqrt(draws)
+
+    @pytest.mark.parametrize("times, draws", [
+        (150, 1000),                 # 65 rows a block: three blocks
+        (3, _BLOCK_ELEMENTS + 7),    # each row two chunks, the second of 7 draws
+    ])
+    def test_blocks_and_chunks_equal_scanning_each_time_alone(self, times, draws):
+        grid = np.linspace(0.5, 30.0, times)
+        whole = risk_scan(self.prior, "pgh", grid, 0.1, rng=np.random.default_rng(8),
+                          pgh_draws=draws)
+        rng = np.random.default_rng(8)
+        alone = [risk_scan(self.prior, "pgh", [t], 0.1, rng=rng, pgh_draws=draws)[0]
+                 for t in grid]
+        # (x_inv is NaN on PGH rows, so the points are compared field by field)
+        assert [(p.t, p.risk, p.stderr) for p in whole] == [(p.t, p.risk, p.stderr) for p in alone]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(st.floats(-2.0, 3.0),
+                      st.one_of(st.floats(0.0, 100.0), st.floats(0.0, 1e300))),
+            min_size=1, max_size=12),
+        alpha=st.floats(0.0, 0.5),
+    )
+    def test_array_call_is_finite_scalar_exact_and_enveloped(self, pairs, alpha):
+        x_inv, t = (np.array(column) for column in zip(*pairs))
+        risks = bayes_risk_1d(self.prior, x_inv, t, alpha)
+        assert risks.shape == t.shape
+        assert np.all(np.isfinite(risks)) and np.all(risks >= 0.0)
+        assert risks.tolist() == [bayes_risk_1d(self.prior, float(x), float(s), alpha)
+                                  for x, s in pairs]
+        if alpha == 0.0:
+            low, high = risk_envelope(t, self.prior.sigma)
+            slack = 1e-12 * self.prior.sigma**2
+            assert np.all(low - slack <= risks) and np.all(risks <= high + slack)
 
 
 class TestRiskEnvelope:
