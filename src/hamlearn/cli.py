@@ -30,7 +30,7 @@ from .models import (
     dense_oracle_distribution,
     single_param_likelihood,
 )
-from .output import emit_results, format_float, write_fits_csv
+from .output import emit_results, format_float, write_csv, write_fits_csv
 
 
 def _load_config(args) -> RunConfig:
@@ -66,8 +66,7 @@ def _cmd_learn(args) -> int:
 def _check_risk_args(args) -> None:
     if not (args.sigma > 0 and np.isfinite(args.sigma * args.sigma)):
         raise SchemaError(f"--sigma: must be positive with a finite square, got {args.sigma}")
-    if not 0.0 <= args.alpha <= 0.5:
-        raise SchemaError(f"--alpha: must lie in [0, 0.5], got {args.alpha}")
+    check_as_field("bitflip_alpha", args.alpha, "--alpha")
     _check_at_least("--points", args.points, 1)
     check_as_field("seed", args.seed, "--seed")
     for flag, value in (("--mu", args.mu), ("--x-inv", args.x_inv)):
@@ -93,17 +92,16 @@ def _cmd_risk(args) -> int:
     grid = np.linspace(t_max / args.points, t_max, args.points)
     strategy = args.strategy if args.strategy != "fixed" else args.x_inv
     rng = np.random.default_rng(args.seed)
-    points = risk_scan(prior, strategy, grid, alpha=args.alpha, rng=rng,
-                       pgh_draws=args.pgh_draws)
+    try:
+        points = risk_scan(prior, strategy, grid, alpha=args.alpha, rng=rng,
+                           pgh_draws=args.pgh_draws)
+    except ValueError as exc:  # the flags passed, but a phase overflows on the grid
+        flag = "--x-inv" if args.strategy == "fixed" else "--t-max"
+        raise SchemaError(f"{flag}: {exc}") from None
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "risk.csv")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("x_inv,t,alpha,risk,stderr\n")
-        for p in points:
-            handle.write(
-                f"{format_float(p.x_inv)},{format_float(p.t)},{format_float(p.alpha)},"
-                f"{format_float(p.risk)},{format_float(p.stderr)}\n"
-            )
+    write_csv(path, ("x_inv", "t", "alpha", "risk", "stderr"),
+              [(p.x_inv, p.t, p.alpha, p.risk, p.stderr) for p in points])
     best = min(points, key=lambda p: p.risk)
     print(f"optimal-envelope time for sigma={args.sigma}: {format_float(t_opt)}")
     print(f"grid minimum risk {format_float(best.risk)} at t={format_float(best.t)}")
@@ -130,12 +128,8 @@ def _cmd_scaling(args) -> int:
     rows, results = scaling_study(config, args.n, threads=args.threads)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "scaling.csv")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("n,d,median_gamma,trials_fit\n")
-        for row in rows:
-            handle.write(
-                f"{row.n},{row.dimension},{format_float(row.median_gamma)},{row.trials_fit}\n"
-            )
+    write_csv(path, ("n", "d", "median_gamma", "trials_fit"),
+              [(row.n, row.dimension, row.median_gamma, row.trials_fit) for row in rows])
     for row, result in zip(rows, results):
         emit_results(result, os.path.join(out_dir, f"n={row.n}"))
         print(f"n={row.n} d={row.dimension} median gamma {format_float(row.median_gamma)}")
@@ -250,17 +244,26 @@ def _cmd_validate(args) -> int:
     return 0 if all(passed) else 1
 
 
+# The flags `learn` and `scaling` share, on parent parsers built once a
+# process rather than on every `main`, and split where `scaling` puts its --n.
+_CONFIG = argparse.ArgumentParser(add_help=False)
+_CONFIG.add_argument("--config", required=True, help="path to a JSON run config")
+_OVERRIDES = argparse.ArgumentParser(add_help=False)
+_OVERRIDES.add_argument("--seed", type=int, default=None, help="override the master seed")
+_OVERRIDES.add_argument("--out", default=None, help="override the output directory")
+_OVERRIDES.add_argument("--trials", type=int, default=None, help="override the trial count")
+_OVERRIDES.add_argument("--threads", type=int, default=1,
+                        help="worker processes; 0 means one per CPU")
+_SIZES = argparse.ArgumentParser(add_help=False)
+_SIZES.add_argument("--n", type=int, nargs="+", required=True, help="system sizes to sweep")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hamlearn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    learn = sub.add_parser("learn", help="run a learning ensemble from a config file")
-    learn.add_argument("--config", required=True, help="path to a JSON run config")
-    learn.add_argument("--seed", type=int, default=None, help="override the master seed")
-    learn.add_argument("--out", default=None, help="override the output directory")
-    learn.add_argument("--trials", type=int, default=None, help="override the trial count")
-    learn.add_argument("--threads", type=int, default=1,
-                       help="worker processes; 0 means one per CPU")
+    learn = sub.add_parser("learn", parents=[_CONFIG, _OVERRIDES],
+                           help="run a learning ensemble from a config file")
     learn.set_defaults(func=_cmd_learn)
 
     risk = sub.add_parser("risk", help="scan one-coupling expected loss over times")
@@ -279,14 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     risk.add_argument("--out", default="results")
     risk.set_defaults(func=_cmd_risk)
 
-    scaling = sub.add_parser("scaling", help="median decay exponent vs system size")
-    scaling.add_argument("--config", required=True)
-    scaling.add_argument("--n", type=int, nargs="+", required=True,
-                         help="system sizes to sweep")
-    scaling.add_argument("--seed", type=int, default=None)
-    scaling.add_argument("--out", default=None)
-    scaling.add_argument("--trials", type=int, default=None)
-    scaling.add_argument("--threads", type=int, default=1)
+    scaling = sub.add_parser("scaling", parents=[_CONFIG, _SIZES, _OVERRIDES],
+                             help="median decay exponent vs system size")
     scaling.set_defaults(func=_cmd_scaling)
 
     validate = sub.add_parser("validate", help="run built-in cross-checks")

@@ -331,7 +331,7 @@ def _line_fit(indices: np.ndarray, logs: np.ndarray) -> Tuple[DecayFit, float]:
     return fit, residual
 
 
-def fit_decay(series, window: float = 0.1) -> DecayFit:
+def fit_decay(series, window: float) -> DecayFit:
     """Fit ln(loss) vs experiment index with the leading transient dropped.
 
     `window` is the fraction of leading experiments excluded before the

@@ -44,6 +44,11 @@ LIKELIHOOD_FLOOR = 1e-300
 QUBIT_CAP = 14
 ORACLE_QUBIT_CAP = 6
 
+# Elements per chunk of the half-table likelihood and of `risk.risk_scan`: a
+# float64 temporary of 512 KiB stays in cache and under the mmap threshold
+# `harness._keep_freed_heap` sets, so each chunk reuses the last one's memory.
+CHUNK_ELEMENTS = 2**16
+
 @dataclass(frozen=True)
 class InteractionGraph:
     """Qubit count plus an edge set; one coupling parameter per edge."""
@@ -217,9 +222,8 @@ class IsingModel:
     outcomes sampled from it stay bit for bit what they were.
 
     The one-coupling echo is the 2-qubit pair `InteractionGraph.line(2)`.
-    The likelihood accessors floor their values at LIKELIHOOD_FLOOR, and
-    accept (and ignore) `rng` so that the model and a stochastic
-    `LikelihoodEvaluator` share one calling convention.
+    The likelihood accessors return values in [LIKELIHOOD_FLOOR, 1]; the
+    filter reads them through `simulate.LikelihoodEvaluator`.
     """
 
     def __init__(self, graph: InteractionGraph):
@@ -237,11 +241,6 @@ class IsingModel:
             for e, (_, j) in enumerate(graph.edges):
                 parts, _ = _components(graph.n, graph.edges[:e] + graph.edges[e + 1:])
                 self._side_masks.append(next(m for m in parts if m >> j & 1))
-        # Cap on elements held by one chunk of the half-table likelihood.
-        # A (chunk, 2^(n-1)) float64 temporary of 512 KiB stays in cache and
-        # under the mmap threshold `harness._keep_freed_heap` sets, so each
-        # chunk reuses the last one's freed memory.
-        self._chunk_elements = 2**16
 
     @staticmethod
     def _sign_table(graph: InteractionGraph) -> np.ndarray:
@@ -297,10 +296,10 @@ class IsingModel:
             return np.array([p0, 1.0 - p0])
         return np.abs(fwht(factors) / self._n_states) ** 2
 
-    def likelihood(self, outcome: int, x, exp: ExperimentSpec, rng=None) -> float:
+    def likelihood(self, outcome: int, x, exp: ExperimentSpec) -> float:
         return float(self.likelihood_many(outcome, np.atleast_2d(x), exp)[0])
 
-    def likelihood_many(self, outcome: int, xs, exp: ExperimentSpec, rng=None) -> np.ndarray:
+    def likelihood_many(self, outcome: int, xs, exp: ExperimentSpec) -> np.ndarray:
         """Probability of `outcome` for every row of `xs`, vectorized.
 
         The kernels run on ``xs.T``, one row per coupling, so a cloud's
@@ -364,7 +363,7 @@ class IsingModel:
         ).astype(float)
         chi_sum = chi.sum()
         out = np.empty(size)
-        chunk = max(1, self._chunk_elements // half)
+        chunk = max(1, CHUNK_ELEMENTS // half)
         for start in range(0, size, chunk):
             # h = tan(phi/2) and q = 1/(1 + h^2): cos phi = 2q - 1, sin phi = 2hq.
             h = deltas[:, start : start + chunk].T @ signs

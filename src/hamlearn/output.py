@@ -1,10 +1,10 @@
-"""Machine-readable result export.
+"""Machine-readable result export: every result file the package writes.
 
 Four files per run: trajectories.jsonl (one record per experiment per
 trial), summary.csv (loss percentiles per experiment index), fits.csv
-(per-trial decay fits), and meta.json (config echo, versions, seed).  All
-floating-point numbers are written as decimals with 17 significant digits,
-which round-trips IEEE doubles exactly and keeps reruns byte-comparable.
+(per-trial decay fits), and meta.json (config echo, versions, seed); the
+CLI's risk.csv and scaling.csv go through `write_csv` too.  All floats are
+written with 17 significant digits, which round-trips IEEE doubles exactly.
 """
 
 from __future__ import annotations
@@ -76,27 +76,19 @@ def write_trajectories_jsonl(path, trajectories: Sequence[LossTrajectory]) -> No
                 handle.write("{" + pairs + "}\n")
 
 
-def write_summary_csv(path, summary: np.ndarray) -> None:
+def write_csv(path, header: Sequence[str], rows) -> None:
+    """A CSV file of `header` and `rows`, every cell through `format_float`
+    (which prints small integers as `str` does)."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write("experiment_index,p25,p50,p75\n")
-        for row in summary:
-            handle.write(
-                f"{int(row[0])},{format_float(row[1])},"
-                f"{format_float(row[2])},{format_float(row[3])}\n"
-            )
+        handle.write(",".join(header) + "\n")
+        for row in rows:
+            handle.write(",".join(map(format_float, row)) + "\n")
 
 
 def write_fits_csv(path, fits: Sequence[Optional[DecayFit]]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("trial,A,gamma,r2\n")
-        for trial, fit in enumerate(fits):
-            if fit is None:
-                handle.write(f"{trial},nan,nan,nan\n")
-            else:
-                handle.write(
-                    f"{trial},{format_float(fit.amplitude)},"
-                    f"{format_float(fit.gamma)},{format_float(fit.r2)}\n"
-                )
+    write_csv(path, ("trial", "A", "gamma", "r2"),
+              [(k, np.nan, np.nan, np.nan) if f is None else (k, f.amplitude, f.gamma, f.r2)
+               for k, f in enumerate(fits)])
 
 
 def write_meta_json(path, config: RunConfig, trial_seeds: Sequence[int]) -> None:
@@ -124,7 +116,7 @@ def emit_results(result: EnsembleResult, out_dir) -> dict:
         "meta": os.path.join(out_dir, "meta.json"),
     }
     write_trajectories_jsonl(paths["trajectories"], result.trajectories)
-    write_summary_csv(paths["summary"], result.summary)
+    write_csv(paths["summary"], ("experiment_index", "p25", "p50", "p75"), result.summary)
     write_fits_csv(paths["fits"], result.fits)
     write_meta_json(paths["meta"], result.config, result.trial_seeds)
     return paths

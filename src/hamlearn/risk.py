@@ -21,7 +21,7 @@ from typing import Callable, List, Optional, Sequence, Union
 import numpy as np
 
 from .errors import QuadratureFailure
-from .models import bitflip_wrap, single_param_likelihood
+from .models import CHUNK_ELEMENTS, bitflip_wrap, single_param_likelihood
 
 # Quadrature covers mu +/- 10 sigma; the Gaussian tail beyond that is ~1e-23.
 _QUAD_HALF_WIDTH = 10.0
@@ -30,10 +30,6 @@ _QUAD_LIMIT = 200
 # Below this posterior mass a datum counts as impossible: the update is
 # rejected and the posterior keeps the prior moments.
 _MASS_FLOOR = 1e-12
-# A scan scores at most this many (time, inversion) elements a call, the same
-# cap as `IsingModel._chunk_elements`, so its temporaries stay small however
-# many times or PGH draws it holds.
-_BLOCK_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -133,22 +129,30 @@ def _closed_form_moments(prior: GaussianPrior1D, x_inv, t):
     (mu + i sigma^2 omega) phi and E[x^2 e^{...}] = ((mu + i sigma^2 omega)^2
     + sigma^2) phi.  Outcome 1 is built on D = 1 - Re phi, evaluated without
     cancellation, so its small masses at short times keep full precision.
-    x_inv and t broadcast against each other.  The two factors that depend on
+    x_inv and t broadcast against each other.  A phase omega (mu - x_inv) that
+    overflows where the envelope is nonzero raises ValueError, naming the
+    inversion and the time.  The two factors that depend on
     t alone, exp(-damping) and expm1(-damping), come from `math`, once per
     element of t: numpy's exp and expm1 differ from math's in the last bit on
     some arguments (its cos and sin do not), and `risk.csv` stays bit-stable.
     """
     mu, var = prior.mu, prior.sigma**2
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         omega = 2.0 * np.asarray(t, dtype=float)
         damping = 0.5 * var * omega * omega
-    envelope = _per_time(math.exp, -damping)
-    decay = _per_time(math.expm1, -damping)
-    # Once the envelope underflows the data carry no information.  A zero
-    # frequency there keeps every moment finite: shift^2 would overflow to inf
-    # and multiply the zero envelope.
-    omega = np.where(envelope > 0.0, omega, 0.0)
-    phase = omega * (mu - np.asarray(x_inv, dtype=float))
+        envelope = _per_time(math.exp, -damping)
+        decay = _per_time(math.expm1, -damping)
+        # Once the envelope underflows the data carry no information.  A zero
+        # frequency there keeps every moment finite: shift^2 would overflow to
+        # inf and multiply the zero envelope.  A NaN envelope (an underflowed
+        # sigma^2 times an infinite omega^2) keeps omega, and the phase check
+        # below rejects it.
+        omega = np.where(envelope == 0.0, 0.0, omega)
+        phase = omega * (mu - np.asarray(x_inv, dtype=float))
+    bad = ~np.isfinite(phase)
+    if bad.any():
+        x_bad, t_bad = (np.broadcast_to(v, phase.shape)[bad][0] for v in (x_inv, t))
+        raise ValueError(f"the phase of inversion {x_bad} overflows at t = {t_bad}")
     re_phi = envelope * np.cos(phase)
     im_phi = envelope * np.sin(phase)
     d = -decay + 2.0 * envelope * np.sin(0.5 * phase) ** 2
@@ -274,8 +278,8 @@ def risk_scan(
 
     Each time is a row of inversions: one, or `pgh_draws` draws taken row by
     row from `rng`.  Whole rows are scored with one `bayes_risk_1d` call per
-    block of at most `_BLOCK_ELEMENTS` elements; a larger row is scored in
-    chunks and reduced once complete.  Each row equals, bit for bit, the
+    block of at most `models.CHUNK_ELEMENTS` elements; a larger row is scored
+    in chunks and reduced once complete.  Each row equals, bit for bit, the
     scalar calls of its inversions.
     """
     times = np.array([float(t) for t in t_grid])
@@ -301,8 +305,8 @@ def risk_scan(
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    rows = max(1, _BLOCK_ELEMENTS // width)
-    chunk = min(width, _BLOCK_ELEMENTS)
+    rows = max(1, CHUNK_ELEMENTS // width)
+    chunk = min(width, CHUNK_ELEMENTS)
     points: List[RiskPoint] = []
     for start in range(0, times.size, rows):
         block = times[start : start + rows, None]

@@ -31,8 +31,8 @@ class LikelihoodEvaluator:
     Modes: `exact` returns the model likelihood; `sampled` replaces it with
     the frequency of the target outcome among `n_samp` simulated shots;
     `noisy_exact` adds zero-mean Gaussian noise of s.d. `noise` and clips.
-    Presents the same `likelihood_many` surface as a model, so it can be
-    passed straight to `bayes_update`.
+    Values lie in [LIKELIHOOD_FLOOR, 1], as the model's do.  Only stochastic
+    modes need an `rng`; `noisy_exact` with noise 0 is exact and needs none.
     """
 
     model: IsingModel
@@ -55,16 +55,14 @@ class LikelihoodEvaluator:
         exp: ExperimentSpec,
         rng: Optional[np.random.Generator] = None,
     ) -> np.ndarray:
-        exact = np.asarray(self.model.likelihood_many(outcome, xs, exp), dtype=float)
-        if self.mode == EXACT:
+        exact = self.model.likelihood_many(outcome, xs, exp)
+        if self.mode == EXACT or (self.mode == NOISY_EXACT and self.noise == 0):
             return exact
         if rng is None:
             raise ValueError(f"{self.mode} evaluation requires an explicit rng")
         if self.mode == SAMPLED:
-            counts = rng.binomial(self.n_samp, np.clip(exact, 0.0, 1.0))
+            counts = rng.binomial(self.n_samp, exact)
             return np.clip(counts / self.n_samp, LIKELIHOOD_FLOOR, 1.0)
-        if self.noise == 0:
-            return np.clip(exact, LIKELIHOOD_FLOOR, 1.0)
         # noise + exact is exact + noise bit for bit; built in the draw's array.
         noisy = rng.normal(0.0, self.noise, size=exact.shape)
         noisy += exact

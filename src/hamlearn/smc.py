@@ -132,8 +132,8 @@ def bayes_update(
 ) -> BayesUpdate:
     """Reweight the cloud by the likelihood of `outcome` and renormalize.
 
-    `model` must provide `likelihood_many(outcome, positions, exp, rng=rng)`;
-    stochastic likelihood evaluators consume `rng`, exact models ignore it.
+    `model` is a `simulate.LikelihoodEvaluator`, or anything with its
+    `likelihood_many(outcome, positions, exp, rng=rng)`.
     Raises ZeroTotalWeight (leaving `cloud` untouched) when every particle is
     assigned zero likelihood; the caller decides whether to discard the datum.
     Returns the new cloud and its effective sample size.
@@ -206,9 +206,7 @@ def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
     raise np.linalg.LinAlgError("covariance could not be regularized")
 
 
-def liu_west_resample(
-    cloud: ParticleCloud, a: float = 0.9, rng: Optional[np.random.Generator] = None
-) -> ParticleCloud:
+def liu_west_resample(cloud: ParticleCloud, a: float, rng: np.random.Generator) -> ParticleCloud:
     """Moment-preserving resample of the cloud.
 
     Parents are a systematic draw (Douc & Cappe 2005): one uniform u puts the
@@ -222,8 +220,6 @@ def liu_west_resample(
     and slow.  All new weights equal 1/size; with a = 1 the offspring are
     exact copies of their parents.
     """
-    if rng is None:
-        raise ValueError("liu_west_resample requires an explicit rng")
     if not 0.0 <= a <= 1.0:
         raise ValueError("mixing parameter a must lie in [0, 1]")
     n = cloud.size

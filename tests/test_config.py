@@ -5,14 +5,17 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 
 from hamlearn.cli import main
-from hamlearn.config import ModelConfig, ResampleConfig, RunConfig, config_to_dict, parse_config
+from hamlearn.config import (ModelConfig, ResampleConfig, RunConfig, config_to_dict, parse_config,
+                             parse_config_file)
 from hamlearn.errors import SchemaError
+from hamlearn.harness import fit_decay, run_ensemble, scaling_study
+from hamlearn.risk import GaussianPrior1D, risk_scan
 
 
 def emit(config):
@@ -333,12 +336,25 @@ class TestCli:
         (["--sigma", "inf"], "--sigma"),
         (["--sigma", "1e200"], "--sigma"),
         (["--mu", "1e200"], "--mu"),
+        (["--strategy", "fixed", "--x-inv", "3e306"], "--x-inv"),
+        (["--strategy", "fixed", "--sigma", "1e-300", "--x-inv", "1e10"], "--x-inv"),
     ])
     def test_risk_rejects_unservable_flags(self, tmp_path, capsys, flags, named):
         out_dir = str(tmp_path / "risk")
         assert main(["risk", "--out", out_dir] + flags) == 2
         assert capsys.readouterr().err.startswith(f"error: {named}: ")
         assert not os.path.exists(out_dir)
+
+    @pytest.mark.parametrize("flags", [
+        ["--strategy", "fixed", "--x-inv", "2e306"],
+        ["--strategy", "fixed", "--t-max", "1e300", "--x-inv", "1e307"],
+    ])
+    def test_risk_serves_huge_inversions_whose_phase_stays_finite(self, tmp_path, flags):
+        # The phase omega (mu - x_inv) stays finite wherever the envelope is nonzero.
+        out_dir = tmp_path / "risk"
+        assert main(["risk", "--out", str(out_dir)] + flags) == 0
+        rows = (out_dir / "risk.csv").read_text().splitlines()[1:]
+        assert len(rows) == 50 and all(math.isfinite(float(r.split(",")[3])) for r in rows)
 
     @pytest.mark.parametrize("value", ["-1", "0", "inf", "nan"])
     def test_risk_rejects_unservable_t_max(self, tmp_path, capsys, value):
@@ -372,6 +388,68 @@ class TestCli:
             lines = handle.read().strip().splitlines()
         assert lines[0] == "x_inv,t,alpha,risk,stderr"
         assert len(lines) == 6
+
+    # The expected texts below are built from the returned objects with the
+    # 17-significant-digit rules of the original hand-written writers.
+
+    @staticmethod
+    def summary_text(summary):
+        return "experiment_index,p25,p50,p75\n" + "".join(
+            f"{int(r[0])},{r[1]:.17g},{r[2]:.17g},{r[3]:.17g}\n" for r in summary)
+
+    @staticmethod
+    def fits_text(fits):
+        return "trial,A,gamma,r2\n" + "".join(
+            f"{k},nan,nan,nan\n" if fit is None
+            else f"{k},{fit.amplitude:.17g},{fit.gamma:.17g},{fit.r2:.17g}\n"
+            for k, fit in enumerate(fits))
+
+    def test_risk_csv_text(self, tmp_path):
+        out_dir = tmp_path / "risk"
+        assert main(["risk", "--strategy", "fixed", "--x-inv", "0.37", "--alpha", "0.1",
+                     "--points", "7", "--out", str(out_dir)]) == 0
+        t_max = 4.0 / 0.1
+        points = risk_scan(GaussianPrior1D(0.5, 0.1), 0.37,
+                           np.linspace(t_max / 7, t_max, 7), alpha=0.1)
+        assert (out_dir / "risk.csv").read_text() == "x_inv,t,alpha,risk,stderr\n" + "".join(
+            f"{p.x_inv:.17g},{p.t:.17g},{p.alpha:.17g},{p.risk:.17g},{p.stderr:.17g}\n"
+            for p in points)
+
+    def test_learn_without_enough_points_writes_nan_fits(self, tmp_path):
+        config_path = write_config(tmp_path, n_experiments=4)
+        out_dir = tmp_path / "results"
+        assert main(["learn", "--config", config_path, "--out", str(out_dir)]) == 0
+        result = run_ensemble(replace(parse_config_file(config_path), out=str(out_dir)))
+        assert result.fits == (None, None)
+        assert (out_dir / "fits.csv").read_text() == self.fits_text(result.fits)
+        assert self.fits_text(result.fits) == "trial,A,gamma,r2\n0,nan,nan,nan\n1,nan,nan,nan\n"
+        assert (out_dir / "summary.csv").read_text() == self.summary_text(result.summary)
+
+    def test_scaling_writes_csv_and_one_directory_per_size(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, model={"graph": "line"}, n_experiments=12)
+        out_dir = tmp_path / "results"
+        argv = ["scaling", "--config", config_path, "--out", str(out_dir), "--n", "2", "3"]
+        assert main(argv) == 0
+        config = replace(parse_config_file(config_path), out=str(out_dir))
+        rows, results = scaling_study(config, [2, 3])
+        assert (out_dir / "scaling.csv").read_text() == "n,d,median_gamma,trials_fit\n" + "".join(
+            f"{r.n},{r.dimension},{r.median_gamma:.17g},{r.trials_fit}\n" for r in rows)
+        assert sorted(os.listdir(out_dir)) == ["n=2", "n=3", "scaling.csv"]
+        for row, result in zip(rows, results):
+            size_dir = out_dir / f"n={row.n}"
+            assert sorted(os.listdir(size_dir)) == [
+                "fits.csv", "meta.json", "summary.csv", "trajectories.jsonl"]
+            assert (size_dir / "summary.csv").read_text() == self.summary_text(result.summary)
+            assert (size_dir / "fits.csv").read_text() == self.fits_text(result.fits)
+        assert capsys.readouterr().out.endswith(f"wrote {out_dir / 'scaling.csv'}\n")
+
+    def test_fit_out_writes_fits_csv(self, tmp_path):
+        path = self.write_summary(tmp_path)
+        out_dir = tmp_path / "fit"
+        assert main(["fit", "--input", path, "--window", "0.2", "--out", str(out_dir)]) == 0
+        series = [(k, 2.0 * np.exp(-0.1 * k)) for k in range(40)]
+        fit = fit_decay([(k, float(f"{v}")) for k, v in series], window=0.2)
+        assert (out_dir / "fits.csv").read_text() == self.fits_text([fit])
 
     @staticmethod
     def write_summary(tmp_path):

@@ -266,7 +266,7 @@ class TestTrialSteps:
     def test_zero_weight_step_is_skipped_and_keeps_its_cloud(self):
         class BlindAtTimeZero(IsingModel):
             # Every hypothesis scores zero at t = 0, so that update has no weight.
-            def likelihood_many(self, outcome, xs, exp, rng=None):
+            def likelihood_many(self, outcome, xs, exp):
                 values = super().likelihood_many(outcome, xs, exp)
                 return values * 0.0 if exp.time == 0.0 else values
 

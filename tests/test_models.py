@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamlearn import models
 from hamlearn.errors import DimensionMismatch, TooManyQubits
 from hamlearn.models import (
     CLE,
@@ -217,35 +218,31 @@ class TestIsingModel:
             each = np.array([model.likelihood(outcome, x, spec) for x in xs])
             np.testing.assert_allclose(many, each, rtol=1e-12)
 
-    def test_chunking_consistent(self):
+    def test_chunking_consistent(self, monkeypatch):
         # line(4) takes the unchunked forest kernel; complete(4) the chunk loop.
         for graph in (InteractionGraph.line(4), InteractionGraph.complete(4)):
             rng = np.random.default_rng(6)
             model = IsingModel(graph)
-            model_small_chunks = IsingModel(graph)
-            model_small_chunks._chunk_elements = 64
             xs = rng.uniform(-0.5, 0.5, (100, graph.dimension))
             spec = ExperimentSpec(QLE, 3.0)
-            for outcome in range(16):
-                np.testing.assert_array_equal(
-                    model.likelihood_many(outcome, xs, spec),
-                    model_small_chunks.likelihood_many(outcome, xs, spec),
-                )
+            default = [model.likelihood_many(outcome, xs, spec) for outcome in range(16)]
+            with monkeypatch.context() as patch:
+                patch.setattr(models, "CHUNK_ELEMENTS", 64)
+                small = [model.likelihood_many(outcome, xs, spec) for outcome in range(16)]
+            for ours, theirs in zip(default, small):
+                np.testing.assert_array_equal(ours, theirs)
 
-    def test_default_chunks_match_one_chunk(self):
+    def test_default_chunks_match_one_chunk(self, monkeypatch):
         # complete(8) splits 600 particles into two chunks at the default cap.
         rng = np.random.default_rng(7)
         graph = InteractionGraph.complete(8)
         model = IsingModel(graph)
-        one_chunk = IsingModel(graph)
-        one_chunk._chunk_elements = 2**22
         xs = rng.uniform(-0.5, 0.5, (600, graph.dimension))
         spec = ExperimentSpec(IQLE, 9.0, rng.uniform(-0.5, 0.5, graph.dimension), FULL_BASIS)
-        for outcome in (0, 3, 255):
-            np.testing.assert_array_equal(
-                model.likelihood_many(outcome, xs, spec),
-                one_chunk.likelihood_many(outcome, xs, spec),
-            )
+        default = [model.likelihood_many(outcome, xs, spec) for outcome in (0, 3, 255)]
+        monkeypatch.setattr(models, "CHUNK_ELEMENTS", 2**22)
+        for outcome, ours in zip((0, 3, 255), default):
+            np.testing.assert_array_equal(ours, model.likelihood_many(outcome, xs, spec))
 
     @pytest.mark.parametrize("name", ["complete3", "complete4", "complete6", "line6", "cycle5",
                                       "forest5"])

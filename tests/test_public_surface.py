@@ -77,3 +77,15 @@ def test_no_dataclass_field_is_unread():
         if field not in read
     ]
     assert not unread, f"dataclass fields nothing in the package or perfbench reads: {unread}"
+
+
+def test_cli_opens_no_file_for_writing():
+    # Result files leave only through `hamlearn.output`.
+    tree = ast.parse((ROOT / "src" / "hamlearn" / "cli.py").read_text())
+    modes = [
+        ast.unparse(mode)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("open", "io.open")
+        for mode in node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+    ]
+    assert modes and all(mode in ("'r'", "'rb'") for mode in modes), modes

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamlearn.models import CHUNK_ELEMENTS
 from hamlearn.risk import (
-    _BLOCK_ELEMENTS,
     GaussianPrior1D,
     RiskPoint,
     bayes_risk_1d,
@@ -221,6 +221,11 @@ class TestUnservableInputs:
                 risk_scan(GaussianPrior1D(0.5, 0.1), strategy, [1.0, t],
                           rng=np.random.default_rng(0), pgh_draws=4)
 
+    def test_scan_rejects_an_inversion_whose_phase_overflows(self):
+        # omega (mu - x_inv) is inf at t = 40, where the envelope is still e^-32.
+        with pytest.raises(ValueError, match=r"inversion 3e\+306 overflows at t = 40\.0"):
+            risk_scan(GaussianPrior1D(0.5, 0.1), 3e306, [1.0, 40.0])
+
     def test_point_rejects_nan_risk(self):
         with pytest.raises(ValueError, match="nonnegative"):
             RiskPoint(0.6, 1.0, 0.0, math.nan)
@@ -257,7 +262,7 @@ class TestArrayRisk:
 
     @pytest.mark.parametrize("times, draws", [
         (150, 1000),                 # 65 rows a block: three blocks
-        (3, _BLOCK_ELEMENTS + 7),    # each row two chunks, the second of 7 draws
+        (3, CHUNK_ELEMENTS + 7),     # each row two chunks, the second of 7 draws
     ])
     def test_blocks_and_chunks_equal_scanning_each_time_alone(self, times, draws):
         grid = np.linspace(0.5, 30.0, times)

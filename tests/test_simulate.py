@@ -212,6 +212,14 @@ class TestLikelihoodEvaluator:
             with pytest.raises(ValueError):
                 evaluator.likelihood_many(0, [[0.1]], spec)
 
+    def test_noiseless_noisy_mode_is_exact_without_rng(self):
+        model = IsingModel(InteractionGraph.complete(3))
+        xs = np.random.default_rng(18).uniform(-0.5, 0.5, (50, 3))
+        spec = ExperimentSpec(IQLE, 4.0, [0.1, 0.2, -0.1], FULL_BASIS)
+        evaluator = LikelihoodEvaluator(model, "noisy_exact", noise=0.0)
+        assert (evaluator.likelihood_many(5, xs, spec).tobytes()
+                == model.likelihood_many(5, xs, spec).tobytes())
+
     def test_calls_per_update(self):
         model = one_coupling_model()
         assert LikelihoodEvaluator(model).calls_per_update(500) == 500

@@ -19,6 +19,7 @@ from hamlearn.models import (
     InteractionGraph,
     IsingModel,
 )
+from hamlearn.simulate import LikelihoodEvaluator
 from hamlearn.smc import (
     ParticleCloud,
     _cholesky_with_jitter,
@@ -71,7 +72,8 @@ class TestBayesUpdate:
 
         model = IsingModel(InteractionGraph.line(2))
         spec = ExperimentSpec(IQLE, t, [x_inv], TWO_OUTCOME)
-        update = bayes_update(ParticleCloud(positions, weights), outcome, spec, model)
+        update = bayes_update(ParticleCloud(positions, weights), outcome, spec,
+                              LikelihoodEvaluator(model))
         np.testing.assert_allclose(update.cloud.weights, expected, rtol=1e-12)
 
     def test_zero_total_weight_rejected(self):
@@ -327,7 +329,7 @@ def learned_cloud(graph, seed):
     cloud = draw_prior_cloud(config, model, rng)
     for t, outcome in ((2.0, 0b0011), (5.0, 0b0110), (9.0, 0b0000)):
         spec = ExperimentSpec(IQLE, t, rng.uniform(-0.5, 0.5, model.dimension), FULL_BASIS)
-        cloud = bayes_update(cloud, outcome, spec, model).cloud
+        cloud = bayes_update(cloud, outcome, spec, LikelihoodEvaluator(model)).cloud
     return cloud
 
 
@@ -354,7 +356,7 @@ class TestCouplingMajorLayout:
         rng = np.random.default_rng(30)
         prior = draw_prior_cloud(config, model, rng)
         spec = ExperimentSpec(IQLE, 4.0, np.zeros(model.dimension), FULL_BASIS)
-        updated = bayes_update(prior, 0, spec, model).cloud
+        updated = bayes_update(prior, 0, spec, LikelihoodEvaluator(model)).cloud
         resampled = liu_west_resample(updated, a=0.9, rng=rng)
         copies = liu_west_resample(updated, a=1.0, rng=rng)
         for cloud in (prior, updated, resampled, copies):
