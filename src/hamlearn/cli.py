@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import RunConfig, check_as_field, parse_config_file
+from .config import RunConfig, check_as_field, parse_config
 from .errors import HamlearnError, SchemaError
 from .harness import _keep_freed_heap, fit_decay, run_ensemble, scaling_study
 from .models import (
@@ -33,12 +33,22 @@ from .models import (
 from .output import emit_results, format_float, write_csv, write_fits_csv
 
 
+def _read_text(flag: str, path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"{flag}: {exc}") from None
+
+
 def _load_config(args) -> RunConfig:
-    config = parse_config_file(args.config)
+    config = parse_config(_read_text("--config", args.config))
     overrides = {name: getattr(args, name) for name in ("seed", "trials", "out")
                  if getattr(args, name) is not None}
-    # Overridden fields pass the same schema checks as the config file's.
-    return replace(config, **overrides)
+    # Overridden fields, and --threads, pass the same schema checks as the config file's.
+    config = replace(config, **overrides)
+    _check_at_least("--threads", args.threads, 0)
+    return config
 
 
 def _check_at_least(flag: str, value: int, minimum: int) -> None:
@@ -48,7 +58,6 @@ def _check_at_least(flag: str, value: int, minimum: int) -> None:
 
 def _cmd_learn(args) -> int:
     config = _load_config(args)
-    _check_at_least("--threads", args.threads, 0)
     out_dir = config.out or "results"
     result = run_ensemble(config, threads=args.threads)
     paths = emit_results(result, out_dir)
@@ -110,8 +119,8 @@ def _cmd_risk(args) -> int:
 
 
 def _check_scaling_sizes(config: RunConfig, sizes) -> None:
-    if len(sizes) < 2:
-        raise SchemaError(f"--n: need at least two system sizes, got {len(sizes)}")
+    if len(set(sizes)) < max(2, len(sizes)):
+        raise SchemaError(f"--n: need at least two distinct system sizes, got {sizes}")
     for n in sizes:
         # Each size passes the same schema checks as the config file's model block.
         try:
@@ -123,7 +132,6 @@ def _check_scaling_sizes(config: RunConfig, sizes) -> None:
 def _cmd_scaling(args) -> int:
     config = _load_config(args)
     _check_scaling_sizes(config, args.n)
-    _check_at_least("--threads", args.threads, 0)
     out_dir = config.out or "results"
     rows, results = scaling_study(config, args.n, threads=args.threads)
     os.makedirs(out_dir, exist_ok=True)
@@ -139,13 +147,20 @@ def _cmd_scaling(args) -> int:
 
 def _cmd_fit(args) -> int:
     check_as_field("fit_window", args.window, "--window")
-    with open(args.input, "r", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or args.column not in reader.fieldnames:
-            print(f"column {args.column!r} not found in {args.input}", file=sys.stderr)
-            return 1
-        index_col = reader.fieldnames[0]
-        series = [(int(float(row[index_col])), float(row[args.column])) for row in reader]
+    reader = csv.DictReader(_read_text("--input", args.input).splitlines())
+    if args.column not in (reader.fieldnames or ()):
+        raise SchemaError(f"--column: {args.column!r} not found in {args.input}")
+    series = []
+    for k, row in enumerate(reader, start=1):
+        cells = row[reader.fieldnames[0]], row[args.column]
+        try:
+            index, value = map(float, cells)  # a short row reads None: TypeError
+        except (TypeError, ValueError):
+            index = np.nan
+        if not index.is_integer() or (series and index <= series[-1][0]):
+            raise SchemaError(f"--input: row {k}: the first column must hold strictly increasing "
+                              f"integers and {args.column!r} numbers, got {cells}")
+        series.append((int(index), value))
     fit = fit_decay(series, window=args.window)
     print(
         f"A={format_float(fit.amplitude)} gamma={format_float(fit.gamma)} "
@@ -311,7 +326,3 @@ def main(argv=None) -> int:
     except HamlearnError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

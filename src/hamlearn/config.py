@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Optional, Tuple, Union
 
 from .errors import SchemaError
-from .models import (EXPERIMENT_KINDS, FULL_BASIS, IQLE, MEASUREMENT_MODES, QUBIT_CAP,
-                     InteractionGraph)
-from .simulate import EVALUATOR_MODES, EXACT
+from .models import (EVALUATOR_MODES, EXACT, EXPERIMENT_KINDS, FULL_BASIS, IQLE,
+                     MEASUREMENT_MODES, QUBIT_CAP, InteractionGraph)
 
 
 def _fail(path: str, message: str) -> "SchemaError":
@@ -263,8 +262,3 @@ def parse_config(text: str) -> RunConfig:
 def parse_config_file(path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as handle:
         return parse_config(handle.read())
-
-
-def config_to_dict(config: RunConfig) -> dict:
-    """Plain-data view of a config; the JSON writers emit its tuples as lists."""
-    return asdict(config)

@@ -35,6 +35,11 @@ FULL_BASIS = "full"
 TWO_OUTCOME = "two"
 MEASUREMENT_MODES = (FULL_BASIS, TWO_OUTCOME)
 
+EXACT = "exact"
+SAMPLED = "sampled"
+NOISY_EXACT = "noisy_exact"
+EVALUATOR_MODES = (EXACT, SAMPLED, NOISY_EXACT)
+
 # Floor applied to every likelihood returned for weight updates.  It prevents
 # a cloud from being wiped out by pure floating-point underflow while leaving
 # genuine impossibilities numerically negligible at any realistic weight.
@@ -274,18 +279,18 @@ class IsingModel:
     def _inversion(self, exp: ExperimentSpec) -> Optional[np.ndarray]:
         if exp.kind != IQLE:
             return None
-        inv = np.asarray(exp.inversion, dtype=float).ravel()
-        if inv.shape[0] != self.dimension:
+        # `ExperimentSpec` stores it as a read-only float64 vector.
+        if exp.inversion.shape[0] != self.dimension:
             raise DimensionMismatch(
-                f"inversion has {inv.shape[0]} couplings, model has {self.dimension}"
+                f"inversion has {exp.inversion.shape[0]} couplings, model has {self.dimension}"
             )
-        return inv
+        return exp.inversion
 
     def outcome_distribution(self, x, exp: ExperimentSpec) -> np.ndarray:
         x = self._check_params(x)
         inv = self._inversion(exp)
         delta = x if inv is None else x - inv
-        phases = np.mod(self.energies(delta) * exp.time, 2.0 * np.pi)
+        phases = np.mod((delta @ self._signs) * exp.time, 2.0 * np.pi)
         factors = np.exp(-1j * phases)
         if exp.measurement == TWO_OUTCOME:
             # W[0] alone, summed in the transform's own adjacent-pair order,

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import asdict
 from typing import Optional, Sequence
 
 import numpy as np
 import scipy
 
 from . import __version__
-from .config import RunConfig, config_to_dict
+from .config import RunConfig
 from .harness import DecayFit, EnsembleResult, LossTrajectory
 
 
@@ -42,15 +43,11 @@ def dumps17(obj, indent: int = 0) -> str:
     pad = " " * indent
     child = " " * (indent + 2)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
         items = ",\n".join(
             f'{child}"{key}": {dumps17(value, indent + 2)}' for key, value in obj.items()
         )
         return "{\n" + items + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
         items = ", ".join(dumps17(value, indent) for value in obj)
         return "[" + items + "]"
     return _json_scalar(obj)
@@ -93,7 +90,7 @@ def write_fits_csv(path, fits: Sequence[Optional[DecayFit]]) -> None:
 
 def write_meta_json(path, config: RunConfig, trial_seeds: Sequence[int]) -> None:
     meta = {
-        "config": config_to_dict(config),
+        "config": asdict(config),
         "seed": config.seed,
         "trial_seeds": list(trial_seeds),
         "versions": {

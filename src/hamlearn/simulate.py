@@ -15,13 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .models import LIKELIHOOD_FLOOR, ExperimentSpec, IsingModel
+from .config import EvaluatorConfig, check_fields
+from .models import EXACT, LIKELIHOOD_FLOOR, NOISY_EXACT, SAMPLED, ExperimentSpec, IsingModel
 from .smc import weight_cdf
-
-EXACT = "exact"
-SAMPLED = "sampled"
-NOISY_EXACT = "noisy_exact"
-EVALUATOR_MODES = (EXACT, SAMPLED, NOISY_EXACT)
 
 
 @dataclass(frozen=True)
@@ -33,20 +29,17 @@ class LikelihoodEvaluator:
     `noisy_exact` adds zero-mean Gaussian noise of s.d. `noise` and clips.
     Values lie in [LIKELIHOOD_FLOOR, 1], as the model's do.  Only stochastic
     modes need an `rng`; `noisy_exact` with noise 0 is exact and needs none.
+    The defaults and bounds are those of the run config's `evaluator`
+    section, checked when built.
     """
 
     model: IsingModel
-    mode: str = EXACT
-    n_samp: int = 1
-    noise: float = 0.0
+    mode: str = EvaluatorConfig.mode
+    n_samp: int = EvaluatorConfig.n_samp
+    noise: float = EvaluatorConfig.noise
 
     def __post_init__(self):
-        if self.mode not in EVALUATOR_MODES:
-            raise ValueError(f"unknown evaluator mode {self.mode!r}")
-        if self.mode == SAMPLED and self.n_samp < 1:
-            raise ValueError("sampled mode needs n_samp >= 1")
-        if self.mode == NOISY_EXACT and self.noise < 0:
-            raise ValueError("noise standard deviation must be nonnegative")
+        check_fields(EvaluatorConfig(self.mode, self.n_samp, self.noise))
 
     def likelihood_many(
         self,
@@ -82,6 +75,5 @@ def sample_outcome(
     rng: np.random.Generator,
 ) -> int:
     """Draw one measurement outcome at the hidden true couplings."""
-    dist = np.asarray(model.outcome_distribution(truth, exp), dtype=float)
-    dist = np.clip(dist, 0.0, None)
+    dist = model.outcome_distribution(truth, exp)
     return int(weight_cdf(dist / dist.sum()).searchsorted(rng.random(), side="right"))

@@ -5,14 +5,13 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 
 from hamlearn.cli import main
-from hamlearn.config import (ModelConfig, ResampleConfig, RunConfig, config_to_dict, parse_config,
-                             parse_config_file)
+from hamlearn.config import ModelConfig, ResampleConfig, RunConfig, parse_config, parse_config_file
 from hamlearn.errors import SchemaError
 from hamlearn.harness import fit_decay, run_ensemble, scaling_study
 from hamlearn.risk import GaussianPrior1D, risk_scan
@@ -20,7 +19,7 @@ from hamlearn.risk import GaussianPrior1D, risk_scan
 
 def emit(config):
     """JSON text of a config, as the golden file is written."""
-    return json.dumps(config_to_dict(config), indent=2) + "\n"
+    return json.dumps(asdict(config), indent=2) + "\n"
 
 
 class TestParseConfig:
@@ -378,6 +377,15 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: --n: ")
         assert not os.path.exists(out_dir)
 
+    @pytest.mark.parametrize("sizes", [["2", "2"], ["2", "3", "2"]])
+    def test_scaling_rejects_repeated_sizes(self, tmp_path, capsys, sizes):
+        # Each size writes one row and one result directory of its own.
+        config_path = write_config(tmp_path, model={"graph": "line"})
+        out_dir = str(tmp_path / "results")
+        assert main(["scaling", "--config", config_path, "--out", out_dir, "--n"] + sizes) == 2
+        assert capsys.readouterr().err.startswith("error: --n: need at least two distinct ")
+        assert not os.path.exists(out_dir)
+
     def test_risk_scan_csv(self, tmp_path, capsys):
         out_dir = str(tmp_path / "risk")
         assert main([
@@ -487,6 +495,54 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {named}: ")
         assert captured.out == ""
+        assert not os.path.exists(out_dir)
+
+    def test_fit_rejects_a_risk_csv(self, tmp_path, capsys):
+        # A fixed-strategy risk.csv repeats its x_inv in the first column.
+        assert main(["risk", "--strategy", "fixed", "--x-inv", "0.37",
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        out_dir = tmp_path / "fit"
+        argv = ["fit", "--input", str(tmp_path / "risk.csv"), "--column", "risk",
+                "--out", str(out_dir)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --input: row 1: the first column must hold ")
+        assert captured.out == ""
+        assert not os.path.exists(out_dir)
+
+    @pytest.mark.parametrize("text, column, named", [
+        ("k,p50\n0,1\n0,0.5\n", "p50", "--input"),
+        ("k,p50\n1,1\n0,0.5\n", "p50", "--input"),
+        ("k,p50\n0,1\n1.5,0.5\n", "p50", "--input"),
+        ("k,p50\n0,1\nnan,0.5\n", "p50", "--input"),
+        ("k,p50\n0,1\ntwo,0.5\n", "p50", "--input"),
+        ("k,p50\n0,1\n1,half\n", "p50", "--input"),
+        ("k,p50\n0,1\n1\n", "p50", "--input"),
+        ("k,p50\n0,1\n", "zz", "--column"),
+        ("", "p50", "--column"),
+    ], ids=["repeated", "decreasing", "fraction", "nan-index", "word-index", "word-value",
+            "short-row", "missing-column", "empty-file"])
+    def test_fit_rejects_input_it_cannot_fit(self, tmp_path, capsys, text, column, named):
+        path = tmp_path / "input.csv"
+        path.write_text(text)
+        out_dir = tmp_path / "fit"
+        argv = ["fit", "--input", str(path), "--column", column, "--out", str(out_dir)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {named}: ")
+        assert captured.out == ""
+        assert not os.path.exists(out_dir)
+
+    @pytest.mark.parametrize("command, flag", [("learn", "--config"), ("scaling", "--config"),
+                                               ("fit", "--input")])
+    def test_unreadable_files_are_named_by_their_flag(self, tmp_path, capsys, command, flag):
+        out_dir = tmp_path / "results"
+        argv = [command, flag, str(tmp_path / "nope"), "--out", str(out_dir)]
+        if command == "scaling":
+            argv += ["--n", "2", "3"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag}: [Errno 2] ")
         assert not os.path.exists(out_dir)
 
     def test_validate_passes(self, capsys):

@@ -12,7 +12,7 @@ import pytest
 from hamlearn.config import (EvaluatorConfig, ExperimentConfig, ModelConfig, ResampleConfig,
                              RunConfig, model_graph)
 from hamlearn.design import PghConfig, pgh
-from hamlearn.errors import InsufficientData, SchemaError
+from hamlearn.errors import DegenerateCloud, InsufficientData, SchemaError
 from hamlearn.harness import (
     ExperimentRecord,
     LossTrajectory,
@@ -295,6 +295,30 @@ class TestTrialSteps:
                             designer=blind_fourth_designer()).records
         assert [r.skipped for r in records] == [k == 3 for k in range(8)]
         assert records[3].loss == records[2].loss
+
+
+    @pytest.mark.parametrize("collapse_at", [0, 1, 5])
+    def test_a_collapsed_cloud_ends_the_stream(self, collapse_at):
+        config = single_param_config(particles=200, n_experiments=8)
+        pgh_cfg = PghConfig(kind=IQLE, measurement=TWO_OUTCOME)
+
+        def collapsing_designer():
+            designed = []
+
+            def designer(cloud, rng):
+                if len(designed) == collapse_at:
+                    raise DegenerateCloud("collapsed")
+                designed.append(pgh(cloud, pgh_cfg, rng))
+                return designed[-1]
+            return designer
+
+        steps = list(trial_steps(config, [0.1], np.random.default_rng(12),
+                                 designer=collapsing_designer()))
+        assert len(steps) == collapse_at
+        records = run_trial(config, [0.1], np.random.default_rng(12),
+                            designer=collapsing_designer()).records
+        assert len(records) == collapse_at
+        assert [r.time for r in records] == [step.spec.time for step in steps]
 
 
 class TestDrawTruthAndPrior:

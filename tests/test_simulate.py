@@ -1,8 +1,11 @@
 """Unit tests for outcome sampling and likelihood estimation."""
 
+import math
+
 import numpy as np
 import pytest
 
+from hamlearn.errors import SchemaError
 from hamlearn.models import (
     FULL_BASIS,
     IQLE,
@@ -225,3 +228,25 @@ class TestLikelihoodEvaluator:
         assert LikelihoodEvaluator(model).calls_per_update(500) == 500
         assert LikelihoodEvaluator(model, mode="noisy_exact", noise=0.1).calls_per_update(500) == 500
         assert LikelihoodEvaluator(model, mode="sampled", n_samp=32).calls_per_update(500) == 16_000
+
+    def test_defaults_are_the_schema_defaults(self):
+        evaluator = LikelihoodEvaluator(one_coupling_model(), "sampled")
+        assert evaluator.n_samp == 100 and evaluator.noise == 0.0
+        assert LikelihoodEvaluator(one_coupling_model()).mode == "exact"
+
+    @pytest.mark.parametrize("settings, field", [
+        ({"mode": "dense"}, "mode"),
+        ({"mode": None}, "mode"),
+        ({"n_samp": 0}, "n_samp"),
+        ({"mode": "exact", "n_samp": -1}, "n_samp"),
+        ({"n_samp": 2.5}, "n_samp"),
+        ({"n_samp": True}, "n_samp"),
+        ({"noise": -0.1}, "noise"),
+        ({"noise": math.nan}, "noise"),
+        ({"noise": math.inf}, "noise"),
+        ({"noise": "0.1"}, "noise"),
+    ])
+    def test_values_the_schema_rejects_are_rejected(self, settings, field):
+        settings = {"mode": "noisy_exact" if field == "noise" else "sampled", **settings}
+        with pytest.raises(SchemaError, match=f"^{field}: "):
+            LikelihoodEvaluator(one_coupling_model(), **settings)

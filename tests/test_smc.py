@@ -222,6 +222,19 @@ class TestQuadraticLoss:
             quadratic_loss([1.0], [1.0, 2.0])
 
 
+class TestCholeskyWithJitter:
+    def test_escalates_the_floor_until_the_factor_exists(self):
+        # The floor starts at 1e-12 and grows tenfold a try; -5e-10 needs 1e-9.
+        cov = np.diag([1.0, -5e-10])
+        factor = _cholesky_with_jitter(cov)
+        np.testing.assert_allclose(factor @ factor.T, cov + 1e-9 * np.eye(2), rtol=0, atol=1e-20)
+
+    def test_gives_up_after_sixteen_tries(self):
+        # The last try adds 1e3, too little for an eigenvalue of -1e6.
+        with pytest.raises(np.linalg.LinAlgError, match="could not be regularized"):
+            _cholesky_with_jitter(np.diag([1.0, -1e6]))
+
+
 class TestLiuWestResample:
     def test_a_one_copies_parents(self):
         rng = np.random.default_rng(4)
