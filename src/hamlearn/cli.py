@@ -2,9 +2,10 @@
 
 Subcommands: `learn` runs an ensemble from a config file, `risk` scans the
 one-coupling expected loss over evolution times, `scaling` sweeps system
-sizes and reports median decay exponents, `validate` cross-checks the fast
-likelihood path against the brute-force reference, and `fit` refits a decay
-exponent to an existing summary CSV.
+sizes and reports median decay exponents, `validate` cross-checks the
+likelihood kernels against the dense brute-force reference and the
+one-coupling closed form, and `fit` refits a decay exponent to an existing
+summary CSV.
 """
 
 from __future__ import annotations
@@ -73,16 +74,11 @@ def _cmd_learn(args) -> int:
 
 
 def _check_risk_args(args) -> None:
-    if not (args.sigma > 0 and np.isfinite(args.sigma * args.sigma)):
-        raise SchemaError(f"--sigma: must be positive with a finite square, got {args.sigma}")
     check_as_field("bitflip_alpha", args.alpha, "--alpha")
     _check_at_least("--points", args.points, 1)
     check_as_field("seed", args.seed, "--seed")
-    for flag, value in (("--mu", args.mu), ("--x-inv", args.x_inv)):
-        if not np.isfinite(value):
-            raise SchemaError(f"{flag}: must be finite, got {value}")
-    if not np.isfinite(args.mu * args.mu + args.sigma * args.sigma):
-        raise SchemaError(f"--mu: mu^2 + sigma^2 must be finite, got {args.mu}")
+    if not np.isfinite(args.x_inv):
+        raise SchemaError(f"--x-inv: must be finite, got {args.x_inv}")
     if args.t_max is not None and not (np.isfinite(args.t_max) and args.t_max > 0):
         raise SchemaError(f"--t-max: must be positive and finite, got {args.t_max}")
     if args.strategy == "pgh" and args.pgh_draws < 2:
@@ -92,10 +88,13 @@ def _check_risk_args(args) -> None:
 
 
 def _cmd_risk(args) -> int:
-    _check_risk_args(args)
     from .risk import GaussianPrior1D, optimal_time, risk_scan
 
-    prior = GaussianPrior1D(args.mu, args.sigma)
+    try:
+        prior = GaussianPrior1D(args.mu, args.sigma)
+    except SchemaError as exc:  # its message starts with the field: mu or sigma
+        raise SchemaError(f"--{exc}") from None
+    _check_risk_args(args)
     t_opt = optimal_time(args.sigma)
     t_max = args.t_max if args.t_max is not None else 4.0 / args.sigma
     grid = np.linspace(t_max / args.points, t_max, args.points)
@@ -202,9 +201,6 @@ def oracle_sweep(rng: np.random.Generator, instances: int):
 
 
 def _cmd_validate(args) -> int:
-    from .risk import (GaussianPrior1D, bayes_risk_1d, posterior_mean_1d,
-                       quadrature_bayes_risk_1d, quadrature_posterior_mean_1d)
-
     _check_at_least("--instances", args.instances, 1)
     check_as_field("seed", args.seed, "--seed")
     rng = np.random.default_rng(args.seed)
@@ -236,25 +232,6 @@ def _cmd_validate(args) -> int:
         closed = single_param_likelihood(0, x, inversion, spec.time)
         gap = max(gap, abs(pair.likelihood(0, [x], spec) - closed))
     report(gap < 1e-12, f"2-qubit pair vs one-coupling closed form: max gap {gap:.3e}")
-
-    prior = GaussianPrior1D(0.5, 0.1)
-    gap = risk_gap = 0.0
-    for _ in range(max(5, args.instances // 20)):
-        x_inv = rng.uniform(0.2, 0.8)
-        t = rng.uniform(0.5, 20.0)
-        for d in (0, 1):
-            gap = max(gap, abs(
-                posterior_mean_1d(d, prior, x_inv, t)
-                - quadrature_posterior_mean_1d(d, prior, x_inv, t)
-            ))
-        for alpha in (0.0, 0.1):
-            risk_gap = max(risk_gap, abs(
-                bayes_risk_1d(prior, x_inv, t, alpha)
-                - quadrature_bayes_risk_1d(prior, x_inv, t, alpha)
-            ) / prior.sigma**2)
-    report(gap < 1e-6, f"closed-form posterior mean vs quadrature: max gap {gap:.3e}")
-    report(risk_gap < 1e-9,
-           f"closed-form risk vs quadrature: max gap {risk_gap:.3e} sigma^2")
 
     return 0 if all(passed) else 1
 

@@ -21,10 +21,6 @@ class TooManyQubits(HamlearnError, ValueError):
     """Requested system size exceeds the configured qubit cap."""
 
 
-class QuadratureFailure(HamlearnError, ArithmeticError):
-    """Adaptive quadrature could not reach the requested tolerance."""
-
-
 class InsufficientData(HamlearnError, ValueError):
     """Not enough usable points to perform a fit."""
 

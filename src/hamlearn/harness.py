@@ -67,17 +67,6 @@ class DecayFit:
 
 
 @dataclass(frozen=True)
-class TwoSegmentFit:
-    """Piecewise log-linear fit with a single break point."""
-
-    left: DecayFit
-    right: DecayFit
-    break_index: int
-    r2_combined: float
-    r2_single: float
-
-
-@dataclass(frozen=True)
 class EnsembleResult:
     trajectories: Tuple[LossTrajectory, ...]
     summary: np.ndarray  # columns: index, p25, p50, p75
@@ -130,7 +119,8 @@ def draw_prior_cloud(
 
 
 class Step(NamedTuple):
-    """One experiment: its design, the datum, and the filter's state after it."""
+    """One experiment: its design, the datum, the filter's state after it,
+    and the simulator calls its update used."""
 
     spec: ExperimentSpec
     datum: int
@@ -138,6 +128,7 @@ class Step(NamedTuple):
     ess: float
     resampled: bool
     skipped: bool
+    sim_calls: int
 
 
 def trial_steps(
@@ -155,6 +146,7 @@ def trial_steps(
     """
     model = model if model is not None else build_model(config.model)
     evaluator = LikelihoodEvaluator(model, **vars(config.evaluator))
+    sim_calls = evaluator.calls_per_update(config.particles)
     if designer is None:
         pgh_cfg = PghConfig(**vars(config.pgh), **vars(config.experiment))
         designer = lambda cloud, stream: pgh(cloud, pgh_cfg, stream)
@@ -171,13 +163,13 @@ def trial_steps(
         try:
             cloud, ess = bayes_update(cloud, datum, spec, evaluator, rng=rng)
         except ZeroTotalWeight:
-            yield Step(spec, datum, cloud, effective_sample_size(cloud), False, True)
+            yield Step(spec, datum, cloud, effective_sample_size(cloud), False, True, sim_calls)
             continue
         resampled = ess < config.resample.threshold * cloud.size
         if resampled:
             cloud = liu_west_resample(cloud, config.resample.a, rng)
             ess = effective_sample_size(cloud)
-        yield Step(spec, datum, cloud, ess, resampled, False)
+        yield Step(spec, datum, cloud, ess, resampled, False, sim_calls)
 
 
 def run_trial(
@@ -188,17 +180,16 @@ def run_trial(
     designer: Optional[Callable] = None,
 ) -> LossTrajectory:
     """Reduce one trial's `trial_steps` to one record per step."""
-    model = model if model is not None else build_model(config.model)
-    evaluator = LikelihoodEvaluator(model, **vars(config.evaluator))
-    per_update = evaluator.calls_per_update(config.particles)
     records: List[ExperimentRecord] = []
+    sim_calls = 0
     for step in trial_steps(config, truth, rng, model, designer):
+        sim_calls += step.sim_calls
         records.append(ExperimentRecord(
             loss=quadratic_loss(posterior_mean(step.cloud), truth),
             ess=step.ess,
             resampled=step.resampled,
             time=step.spec.time,
-            sim_calls=(len(records) + 1) * per_update,
+            sim_calls=sim_calls,
             skipped=step.skipped,
         ))
         del step  # hold no step's cloud while the loop computes the next step
@@ -305,10 +296,10 @@ def summarize_losses(trajectories: Sequence[LossTrajectory]) -> np.ndarray:
 def _window_points(series, window: float):
     points = [(int(i), float(loss)) for i, loss in series]
     start = int(math.floor(window * len(points)))
-    usable = [(i, loss) for i, loss in points[start:] if loss > 0]
+    usable = [(i, loss) for i, loss in points[start:] if 0 < loss < math.inf]
     if len(usable) < 5:
         raise InsufficientData(
-            f"{len(usable)} positive points after the transient window; need 5"
+            f"{len(usable)} positive finite points after the transient window; need 5"
         )
     indices = np.array([i for i, _ in usable], dtype=float)
     logs = np.log(np.array([loss for _, loss in usable]))
@@ -335,44 +326,10 @@ def fit_decay(series, window: float) -> DecayFit:
     """Fit ln(loss) vs experiment index with the leading transient dropped.
 
     `window` is the fraction of leading experiments excluded before the
-    least-squares line fit; at least 5 positive-loss points must remain.
+    least-squares line fit.  Only positive finite losses are fitted, and at
+    least 5 must remain.
     """
     return _line_fit(*_window_points(series, window))[0]
-
-
-def fit_two_segment(series, window: float = 0.0, min_points: int = 5) -> TwoSegmentFit:
-    """Best single-break piecewise log-linear fit of a loss series.
-
-    Scans every break position leaving at least `min_points` on each side,
-    refits both sides, and keeps the break with the highest combined r^2
-    (computed against the pooled variance, so it is directly comparable to
-    the single-line r^2 also returned).
-    """
-    indices, logs = _window_points(series, window)
-    if indices.size < 2 * min_points:
-        raise InsufficientData(
-            f"{indices.size} points cannot support two segments of {min_points}"
-        )
-    r2_single = _line_fit(indices, logs)[0].r2
-    total = float(np.sum((logs - logs.mean()) ** 2))
-
-    best = None
-    for cut in range(min_points, indices.size - min_points + 1):
-        left, left_residual = _line_fit(indices[:cut], logs[:cut])
-        right, right_residual = _line_fit(indices[cut:], logs[cut:])
-        residual = left_residual + right_residual
-        r2_combined = 1.0 if total == 0.0 else 1.0 - residual / total
-        if best is None or r2_combined > best[0]:
-            best = (r2_combined, cut, left, right)
-
-    r2_combined, cut, left, right = best
-    return TwoSegmentFit(
-        left=left,
-        right=right,
-        break_index=int(indices[cut]),
-        r2_combined=float(r2_combined),
-        r2_single=float(r2_single),
-    )
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ distribution reduces to per-bitstring phases followed by a Walsh-Hadamard
 transform, which is what the fast path does; the likelihood of one outcome
 is a single character sum, or on a forest a product of one-coupling
 factors.  `IsingModel` is the one likelihood model: the exactly solvable
-one-coupling case is its 2-qubit pair, whose closed form
-`single_param_likelihood` serves the quadrature reference of `hamlearn.risk`.
+one-coupling case is its 2-qubit pair, which `hamlearn validate` checks
+against the closed form `single_param_likelihood`.
 A dense matrix reference implementation (`dense_oracle_distribution`)
 provides an independent brute-force check.
 """

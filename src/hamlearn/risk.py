@@ -3,10 +3,8 @@
 For the one-coupling model with a Gaussian prior, the posterior mean and the
 expected posterior variance (the average-case loss of the optimal
 estimator) have closed forms: every moment is a Gaussian integral of a
-cosine.  Adaptive quadrature of the same moments is kept as the independent
-reference the closed forms are checked against; it loads scipy.integrate on
-its first call, so the closed-form scans never import it.  The risk as
-a function of evolution time is pinched between sigma^2 and the envelope
+cosine, so no scan integrates numerically.  The risk as a function of
+evolution time is pinched between sigma^2 and the envelope
 sigma^2 (1 - 4 sigma^2 t^2 exp(-4 sigma^2 t^2)), whose minimum sits at
 t = 1/(2 sigma) with value (1 - 1/e) sigma^2.
 """
@@ -14,19 +12,14 @@ t = 1/(2 sigma) with value (1 - 1/e) sigma^2.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import QuadratureFailure
-from .models import CHUNK_ELEMENTS, bitflip_wrap, single_param_likelihood
+from .errors import SchemaError
+from .models import CHUNK_ELEMENTS, bitflip_wrap
 
-# Quadrature covers mu +/- 10 sigma; the Gaussian tail beyond that is ~1e-23.
-_QUAD_HALF_WIDTH = 10.0
-_QUAD_EPSREL = 1e-10
-_QUAD_LIMIT = 200
 # Below this posterior mass a datum counts as impossible: the update is
 # rejected and the posterior keeps the prior moments.
 _MASS_FLOOR = 1e-12
@@ -34,22 +27,22 @@ _MASS_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class GaussianPrior1D:
-    """Normal prior over a single coupling with mean mu and s.d. sigma."""
+    """Normal prior over a single coupling with mean mu and s.d. sigma.
+
+    A value it cannot serve raises SchemaError, whose message starts with the
+    field it names.
+    """
 
     mu: float
     sigma: float
 
     def __post_init__(self):
-        if not math.isfinite(self.mu):
-            raise ValueError(f"mu must be finite, got {self.mu}")
         if not (self.sigma > 0 and math.isfinite(self.sigma * self.sigma)):
-            raise ValueError(f"sigma must be positive with a finite square, got {self.sigma}")
+            raise SchemaError(f"sigma: must be positive with a finite square, got {self.sigma}")
+        if not math.isfinite(self.mu):
+            raise SchemaError(f"mu: must be finite, got {self.mu}")
         if not math.isfinite(self.mu * self.mu + self.sigma * self.sigma):
-            raise ValueError(f"mu^2 + sigma^2 must be finite, got mu={self.mu}")
-
-    def pdf(self, x: float) -> float:
-        z = (x - self.mu) / self.sigma
-        return math.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
+            raise SchemaError(f"mu: mu^2 + sigma^2 must be finite, got {self.mu}")
 
 
 @dataclass(frozen=True)
@@ -68,51 +61,15 @@ class RiskPoint:
 
 
 def __getattr__(name: str):
-    # `hamlearn.risk.integrate` still names scipy.integrate, loaded on first
-    # access, for code that reaches the quadrature through this module (the
-    # benchmark's traced run wraps `integrate.quad` here).
+    # The package's one import of scipy.integrate, loaded on first access.
+    # No scan integrates numerically; this stays for the benchmark, whose
+    # traced `risk.quad` layer wraps `hamlearn.risk:integrate.quad`, a target
+    # that resolves here.
     if name == "integrate":
         from scipy import integrate
 
         return integrate
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _quad(f: Callable[[float], float], lo: float, hi: float) -> float:
-    # Imported here, not at module scope: scipy.integrate costs about 0.5 s and
-    # 40 MB to load, and only the quadrature reference needs it.
-    from scipy import integrate
-
-    with warnings.catch_warnings():
-        # non-convergence is reported through QuadratureFailure instead
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        value, err = integrate.quad(f, lo, hi, epsabs=1e-14, epsrel=_QUAD_EPSREL,
-                                    limit=_QUAD_LIMIT)
-    if err > max(1e-12, 1e-6 * abs(value)):
-        raise QuadratureFailure(
-            f"quadrature error estimate {err:.3e} too large for value {value:.6e}"
-        )
-    return value
-
-
-def _quadrature_moments(prior: GaussianPrior1D, x_inv: float, t: float):
-    """Per-outcome (mass, E[x * L], E[x^2 * L]), by adaptive quadrature.
-
-    Only the outcome-0 integrals are computed; outcome 1 follows from the
-    complements mass_1 = 1 - mass_0, etc., because the two likelihoods sum
-    to one pointwise.
-    """
-    lo = prior.mu - _QUAD_HALF_WIDTH * prior.sigma
-    hi = prior.mu + _QUAD_HALF_WIDTH * prior.sigma
-
-    def weighted(x: float) -> float:
-        return single_param_likelihood(0, x, x_inv, t) * prior.pdf(x)
-
-    mass = _quad(weighted, lo, hi)
-    first = _quad(lambda x: x * weighted(x), lo, hi)
-    second = _quad(lambda x: x * x * weighted(x), lo, hi)
-    prior_second = prior.mu**2 + prior.sigma**2
-    return (mass, first, second), (1.0 - mass, prior.mu - first, prior_second - second)
 
 
 def _per_time(f: Callable[[float], float], values: np.ndarray) -> np.ndarray:
@@ -173,14 +130,14 @@ def _closed_form_moments(prior: GaussianPrior1D, x_inv, t):
     )
 
 
-def _posterior_moments(prior: GaussianPrior1D, x_inv, t, raw_moments=_closed_form_moments):
+def _posterior_moments(prior: GaussianPrior1D, x_inv, t):
     """Per-outcome (mass, posterior mean, posterior variance), elementwise.
 
     A datum whose mass falls below the floor is treated as rejected: the
     posterior keeps the prior mean and variance.
     """
     results = []
-    for mass, first, second in raw_moments(prior, x_inv, t):
+    for mass, first, second in _closed_form_moments(prior, x_inv, t):
         rejected = np.asarray(mass) <= _MASS_FLOOR
         kept = np.where(rejected, 1.0, mass)
         mean = first / kept
@@ -188,30 +145,6 @@ def _posterior_moments(prior: GaussianPrior1D, x_inv, t, raw_moments=_closed_for
         results.append((np.maximum(mass, 0.0), np.where(rejected, prior.mu, mean),
                         np.where(rejected, prior.sigma**2, variance)))
     return results
-
-
-def _posterior_mean(d: int, prior: GaussianPrior1D, x_inv: float, t: float, raw_moments) -> float:
-    if d not in (0, 1):
-        raise ValueError("outcome must be 0 or 1")
-    return float(_posterior_moments(prior, x_inv, t, raw_moments)[d][1])
-
-
-def posterior_mean_1d(d: int, prior: GaussianPrior1D, x_inv: float, t: float) -> float:
-    """Posterior mean after observing outcome d in {0, 1}, in closed form."""
-    return _posterior_mean(d, prior, x_inv, t, _closed_form_moments)
-
-
-def quadrature_posterior_mean_1d(d: int, prior: GaussianPrior1D, x_inv: float, t: float) -> float:
-    """Posterior mean by adaptive quadrature; reference for the closed form."""
-    return _posterior_mean(d, prior, x_inv, t, _quadrature_moments)
-
-
-def _risk(prior: GaussianPrior1D, x_inv, t, alpha: float, raw_moments):
-    # `bitflip_wrap` rejects an alpha outside [0, 0.5].
-    (mass0, _, variance0), (mass1, _, variance1) = _posterior_moments(
-        prior, x_inv, t, raw_moments)
-    risk = bitflip_wrap(alpha, mass0) * variance0 + bitflip_wrap(alpha, mass1) * variance1
-    return float(risk) if np.ndim(risk) == 0 else risk
 
 
 def bayes_risk_1d(prior: GaussianPrior1D, x_inv, t, alpha: float = 0.0):
@@ -225,32 +158,10 @@ def bayes_risk_1d(prior: GaussianPrior1D, x_inv, t, alpha: float = 0.0):
     and array calls agree bit for bit.  Once the Gaussian envelope
     exp(-2 sigma^2 t^2) underflows, the risk is the prior variance.
     """
-    return _risk(prior, x_inv, t, alpha, _closed_form_moments)
-
-
-def quadrature_bayes_risk_1d(
-    prior: GaussianPrior1D, x_inv: float, t: float, alpha: float = 0.0
-) -> float:
-    """`bayes_risk_1d` by adaptive quadrature, for scalar arguments; reference
-    for the closed form."""
-    return _risk(prior, x_inv, t, alpha, _quadrature_moments)
-
-
-def risk_envelope(t, sigma: float):
-    """Lower and upper bounds on the noiseless risk at evolution time t."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("t must be nonnegative")
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = 4.0 * sigma**2 * t**2
-        # u e^{-u} -> 0 as u -> inf, where the product itself is inf * 0
-        lower = sigma**2 * (1.0 - np.where(np.isinf(u), 0.0, u * np.exp(-u)))
-    upper = np.full_like(lower, sigma**2)
-    if lower.ndim == 0:
-        return float(lower), float(upper)
-    return lower, upper
+    # `bitflip_wrap` rejects an alpha outside [0, 0.5].
+    (mass0, _, variance0), (mass1, _, variance1) = _posterior_moments(prior, x_inv, t)
+    risk = bitflip_wrap(alpha, mass0) * variance0 + bitflip_wrap(alpha, mass1) * variance1
+    return float(risk) if np.ndim(risk) == 0 else risk
 
 
 def optimal_time(sigma: float) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 from hamlearn.cli import oracle_sweep
 from hamlearn.config import EvaluatorConfig, ModelConfig, RunConfig
 from hamlearn.design import PghConfig, pgh
-from hamlearn.harness import fit_decay, fit_two_segment, run_ensemble, scaling_study
+from hamlearn.harness import fit_decay, run_ensemble, scaling_study
 from hamlearn.models import (
     IQLE,
     TWO_OUTCOME,
@@ -25,7 +25,7 @@ from hamlearn.models import (
     InteractionGraph,
     IsingModel,
 )
-from hamlearn.risk import GaussianPrior1D, bayes_risk_1d, optimal_time, risk_envelope, risk_scan
+from hamlearn.risk import GaussianPrior1D, bayes_risk_1d, optimal_time, risk_scan
 from hamlearn.simulate import LikelihoodEvaluator, sample_outcome
 from hamlearn.smc import (
     ParticleCloud,
@@ -34,6 +34,7 @@ from hamlearn.smc import (
     posterior_mean,
 )
 
+from reference import fit_two_segment, risk_envelope
 from test_harness import break_removes_most_misfit
 from test_risk import monte_carlo_risk_1d
 

@@ -476,6 +476,13 @@ class TestCli:
         gamma = float(out.split("gamma=")[1].split()[0])
         assert gamma == pytest.approx(0.1, rel=1e-9)
 
+    def test_fit_skips_an_infinite_loss(self, tmp_path, capsys):
+        rows = [f"{k},{'inf' if k == 7 else repr(2.0 * math.exp(-0.1 * k))}" for k in range(20)]
+        (tmp_path / "summary.csv").write_text("\n".join(["k,p50"] + rows) + "\n")
+        assert main(["fit", "--input", str(tmp_path / "summary.csv")]) == 0
+        gamma = float(capsys.readouterr().out.split("gamma=")[1].split()[0])
+        assert gamma == pytest.approx(0.1, rel=1e-9)
+
     @pytest.mark.parametrize("argv, named", [
         (["validate", "--instances", "0"], "--instances"),
         (["validate", "--instances", "-5"], "--instances"),
@@ -548,7 +555,7 @@ class TestCli:
     def test_validate_passes(self, capsys):
         assert main(["validate", "--instances", "5", "--seed", "1"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 6
+        assert out.count("PASS") == 4
         assert "FAIL" not in out
         assert "line(5) forest" in out and "complete(5) half-table" in out
 

@@ -20,7 +20,6 @@ from hamlearn.harness import (
     draw_prior_cloud,
     draw_truth,
     fit_decay,
-    fit_two_segment,
     run_ensemble,
     run_trial,
     scaling_study,
@@ -31,6 +30,8 @@ from hamlearn.harness import (
 from hamlearn.models import IQLE, TWO_OUTCOME, ExperimentSpec, IsingModel
 from hamlearn.simulate import LikelihoodEvaluator
 from hamlearn.smc import bayes_update, effective_sample_size, posterior_mean, quadratic_loss
+
+from reference import fit_two_segment
 
 
 def single_param_config(**overrides):

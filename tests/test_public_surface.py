@@ -2,6 +2,7 @@
 is used by the package or the benchmark."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -10,8 +11,6 @@ USERS = PACKAGE + sorted((ROOT / "perfbench").glob("*.py"))
 
 # Public names kept for the tests alone, each with its reason.
 TEST_ONLY = {
-    "fit_two_segment": "A8's two-regime fit",
-    "risk_envelope": "the risk envelope that A1 and A3 check against",
     "posterior_covariance": "moment reference for A10 and the resampler tests",
 }
 
@@ -77,6 +76,21 @@ def test_no_dataclass_field_is_unread():
         if field not in read
     ]
     assert not unread, f"dataclass fields nothing in the package or perfbench reads: {unread}"
+
+
+def test_scipy_integrate_is_imported_only_for_the_benchmark_hook():
+    # No run integrates numerically; `risk.__getattr__` resolves the
+    # benchmark's traced `risk.quad` target.
+    found = []
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text())
+        # ast.walk goes outside in, so each node ends up mapped to its innermost def
+        scope = {id(node): f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                 for node in ast.walk(f)}
+        found += [f"{path.stem}.{scope.get(id(node), '<module>')}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and re.search(r"\bscipy\b.*\bintegrate\b", ast.unparse(node))]
+    assert found == ["risk.__getattr__"]
 
 
 def test_cli_opens_no_file_for_writing():

@@ -14,14 +14,14 @@ from hamlearn.models import CHUNK_ELEMENTS
 from hamlearn.risk import (
     GaussianPrior1D,
     RiskPoint,
+    _posterior_moments,
     bayes_risk_1d,
     optimal_time,
-    posterior_mean_1d,
-    quadrature_bayes_risk_1d,
-    quadrature_posterior_mean_1d,
-    risk_envelope,
     risk_scan,
 )
+
+from reference import (QuadratureFailure, quadrature_bayes_risk_1d,
+                       quadrature_posterior_mean_1d, risk_envelope)
 
 
 def monte_carlo_risk_1d(prior, x_inv, t, alpha, n_draws, rng, n_batches=100):
@@ -64,12 +64,10 @@ class TestPosteriorMean1d:
     def test_no_evolution_returns_prior_mean(self):
         prior = GaussianPrior1D(0.7, 0.2)
         for d in (0, 1):
-            assert posterior_mean_1d(d, prior, 0.3, 0.0) == pytest.approx(0.7)
+            assert _posterior_moments(prior, 0.3, 0.0)[d][1] == pytest.approx(0.7)
 
     def test_martingale(self):
         # The outcome-average of the posterior mean is the prior mean.
-        from hamlearn.risk import _posterior_moments
-
         prior = GaussianPrior1D(0.5, 0.1)
         for x_inv, t in ((0.6, 5.0), (0.5, 2.0), (0.35, 11.0)):
             moments = _posterior_moments(prior, x_inv, t)
@@ -78,7 +76,7 @@ class TestPosteriorMean1d:
 
     def test_matches_quadrature_reference(self):
         prior = GaussianPrior1D(0.5, 0.1)
-        closed = posterior_mean_1d(0, prior, 0.6, 5.0)
+        closed = _posterior_moments(prior, 0.6, 5.0)[0][1]
         quad = quadrature_posterior_mean_1d(0, prior, 0.6, 5.0)
         assert closed == pytest.approx(quad, abs=1e-6)
         # frozen reference value from the quadrature oracle
@@ -93,7 +91,7 @@ class TestPosteriorMean1d:
             x_inv = mu + rng.uniform(-3, 3) * sigma
             t = rng.uniform(0.01, 3.0) / sigma
             for d in (0, 1):
-                assert posterior_mean_1d(d, prior, x_inv, t) == pytest.approx(
+                assert _posterior_moments(prior, x_inv, t)[d][1] == pytest.approx(
                     quadrature_posterior_mean_1d(d, prior, x_inv, t), abs=1e-6
                 )
 
@@ -102,7 +100,7 @@ class TestPosteriorMean1d:
         # risk only through the data distribution.
         import inspect
 
-        assert "alpha" not in inspect.signature(posterior_mean_1d).parameters
+        assert "alpha" not in inspect.signature(_posterior_moments).parameters
 
 
 class TestBayesRisk1d:
@@ -145,8 +143,6 @@ class TestBayesRisk1d:
             bayes_risk_1d(GaussianPrior1D(0.0, 1.0), 0.0, 1.0, 0.6)
 
     def test_unreachable_tolerance_raises(self):
-        from hamlearn.errors import QuadratureFailure
-
         # an astronomically fast oscillation defeats the subdivision budget
         with pytest.raises(QuadratureFailure):
             quadrature_posterior_mean_1d(0, GaussianPrior1D(0.5, 0.1), 0.6, 1e8)
@@ -368,15 +364,16 @@ class TestRiskScan:
 class TestLazyQuadrature:
     def test_closed_form_scan_skips_scipy_integrate(self):
         # The closed forms need no quadrature, so a scan leaves scipy.integrate
-        # unloaded; the quadrature reference loads it on its first call.
+        # unloaded; the quadrature reference of the tests loads it.
         code = ("import sys\n"
                 "import numpy as np\n"
-                "from hamlearn.risk import GaussianPrior1D, quadrature_bayes_risk_1d, risk_scan\n"
+                "from hamlearn.risk import GaussianPrior1D, risk_scan\n"
                 "prior = GaussianPrior1D(0.5, 0.1)\n"
                 "for strategy in ('none', 'mean_plus_sigma', 'pgh'):\n"
                 "    risk_scan(prior, strategy, [1.0, 5.0], alpha=0.1,\n"
                 "              rng=np.random.default_rng(0), pgh_draws=4)\n"
                 "print('scipy.integrate' in sys.modules)\n"
+                "from reference import quadrature_bayes_risk_1d\n"
                 "print(quadrature_bayes_risk_1d(prior, 0.6, 5.0, 0.1))\n"
                 "print('scipy.integrate' in sys.modules)\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
